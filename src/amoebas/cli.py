@@ -70,8 +70,8 @@ _TAG_RGB = {
     "Degenerate": (255, 0, 255),
 }
 
-# lets option values like "-2,-2,2,2" or "-1.5,0" pass as arguments
-_NEGATIVE_VALUE = re.compile(r"^-[\d.,eEjJ+-]+$")
+# lets option values like "-2,-2,2,2", "-1.5,0" or "-0.5+1i,1;2,-1" pass as arguments
+_NEGATIVE_VALUE = re.compile(r"^-[\d.,;eEiIjJ+-]+$")
 
 
 # --------------------------------------------------------------------------

@@ -10,10 +10,7 @@ torus.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .errors import IdenticallyZero, SingularMatrix
 from .laurent import LaurentPoly
@@ -287,26 +284,50 @@ def det(m):
 def solve_linear(a, b):
     """Solve a x = b, rejecting near-singular systems.
 
+    One LU factorization with partial pivoting, pivoting as LAPACK's
+    ``zgetrf`` does: the first row with the largest ``|re| + |im|`` in the
+    column, and no elimination below an exactly zero pivot.  All pivots
+    are formed before any is checked, and the same factors then give x by
+    forward and back substitution.
+
     Raises
     ------
     SingularMatrix
         If some LU pivot has modulus below 1e-12 times the matrix scale.
+    ValueError
+        If a is not square, b does not match it, or either holds an
+        inf or a NaN.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    lu = np.array(a, dtype=complex)
+    x = np.array(b, dtype=complex)
+    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
         raise ValueError("need a square matrix")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    n = lu.shape[0]
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError("right-hand side does not match the matrix")
+    if not (np.isfinite(lu).all() and np.isfinite(x).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    scale = float(np.max(np.abs(lu))) if lu.size else 0.0
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        # exact singularity is detected below through the pivot check
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    pivots = np.abs(np.diag(lu))
+    for k in range(n):
+        col = lu[k:, k]
+        p = k + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            x[[k, p]] = x[[p, k]]
+        if lu[k, k] != 0:
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    pivots = np.abs(np.diagonal(lu))
     if np.any(pivots < 1e-12 * scale):
         raise SingularMatrix(f"pivot {pivots.min():.3e} below 1e-12 x scale {scale:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), b)
+    for k in range(n):
+        x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
+    for k in range(n - 1, -1, -1):
+        x[k] /= lu[k, k]
+        x[:k] -= np.multiply.outer(lu[:k, k], x[k])
+    return x
 
 
 # --------------------------------------------------------------------------

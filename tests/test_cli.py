@@ -152,6 +152,26 @@ def test_basis_output(capsys):
     assert "axiom 3: ok (rank 2)" in out
 
 
+def test_basis_matrix_may_start_with_a_minus(capsys):
+    # complex entries and ';' must not make argparse take the value for a flag
+    code, out, _ = run(capsys, "basis", "--linear", "-0.5+1i,1;2,-1")
+    assert code == 0
+    assert "axiom 3: ok (rank 2)" in out
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, amoebas.cli; "
+         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_contour_and_boundary_csv(capsys):
     code, out, _ = run(capsys, "contour", "--poly", HARNACK, "--slices", "24")
     assert code == 0

@@ -7,6 +7,7 @@ a Newton-coefficient sweep for resultants.
 
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,95 @@ def test_solve_linear_random_residuals():
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x = solve_linear(a, b)
         assert np.linalg.norm(a @ x - b) < 1e-10 * np.linalg.norm(b)
+
+
+def test_solve_linear_matches_numpy_on_well_conditioned_systems():
+    rng = np.random.default_rng(23)
+    for n in range(2, 7):
+        for _ in range(20):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a += 2 * n * np.eye(n)
+            b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            for rhs in (b[:, 0], b):
+                x, ref = solve_linear(a, rhs), np.linalg.solve(a, rhs)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solve_linear_zero_pivot_mid_factorization():
+    # after the first elimination the second column is zero below the
+    # diagonal, so the zero pivot comes before the last step
+    a = [[1.0, 2.0, 3.0], [2.0, 4.0, 7.0], [1.0, 2.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="pivot 0.000e"):
+            solve_linear(a, [1.0, 1.0, 1.0])
+
+
+def test_solve_linear_pivot_threshold_edges():
+    # scale 1, pivots 1 and d: d = 2e-12 passes the 1e-12 rule, 5e-13 fails
+    regular = [[1.0, 1.0], [1.0, 1.0 + 2e-12]]
+    x = solve_linear(regular, [1.0, 2.0])
+    assert np.all(np.isfinite(x))
+    with pytest.raises(SingularMatrix):
+        solve_linear([[1.0, 1.0], [1.0, 1.0 + 5e-13]], [1.0, 2.0])
+
+
+def test_solve_linear_pivots_like_lapack():
+    # |det| sits just under the threshold and the second pivot is det over
+    # the first, so the call depends on the pivot row.  |re| + |im| picks
+    # 0.6+0.6i (1.2 > 1) though its modulus is smaller: 0.95e-12 / 0.85 passes
+    x = solve_linear([[1.0, 1.0], [0.6 + 0.6j, 0.6 + 0.6j + 0.95e-12]], [1.0, 2.0])
+    assert np.all(np.isfinite(x))
+    # on a tie in |re| + |im| the first row stays the pivot: 0.9e-12 / 1 fails
+    with pytest.raises(SingularMatrix):
+        solve_linear([[1.0, 1.0], [0.5 + 0.5j, 0.5 + 0.5j + 0.9e-12]], [1.0, 2.0])
+
+
+def test_solve_linear_rejects_mismatched_or_nonfinite_input():
+    with pytest.raises(ValueError):
+        solve_linear([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        solve_linear([[np.nan, 0.0], [0.0, 1.0]], [1.0, 2.0])
+
+
+def near_singular_matrices(seed, count):
+    """Random, rank-deficient, zero-column and integer-cancelling matrices."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 7))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        kind = i % 4
+        if kind == 1:
+            r = int(rng.integers(1, n))
+            a = a[:, :r] @ (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+            a += 10.0 ** rng.uniform(-16, -9) * rng.standard_normal((n, n))
+        elif kind == 2:
+            a[:, int(rng.integers(n))] = 0
+        elif kind == 3:
+            a = np.round(a)
+            a[int(rng.integers(n))] = 2 * a[int(rng.integers(n))]
+        yield a
+
+
+def test_solve_linear_singular_calls_match_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    calls = []
+    for a in near_singular_matrices(41, 800):
+        scale = np.max(np.abs(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", linalg.LinAlgWarning)
+            lu, _ = linalg.lu_factor(a)
+        expected = bool(scale == 0 or np.any(np.abs(np.diag(lu)) < 1e-12 * scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                solve_linear(a, np.ones(a.shape[0]))
+                singular = False
+            except SingularMatrix:
+                singular = True
+        assert singular == expected, a
+        calls.append(singular)
+    assert 0 < sum(calls) < len(calls)
 
 
 # --------------------------------------------------------------------------
