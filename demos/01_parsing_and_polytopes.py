@@ -6,7 +6,7 @@ worth eyeballing before any numerics run.
 """
 
 from amoebas import format_poly, parse_poly
-from amoebas.laurent import newton_polytope, realify
+from amoebas.laurent import newton_polytope
 
 SAMPLES = [
     "z1^3 + z2^3 + z1*z2 + 1",
@@ -23,11 +23,3 @@ for text in SAMPLES:
     print(f"  Newton polytope vertices: {list(poly.vertices)}")
     print(f"  normalized volume: {poly.normalized_volume}")
     print()
-
-# realification: one complex polynomial becomes two real ones in twice
-# the variables, z_j = x_j + i y_j with variable order (x1, x2, y1, y2)
-f = parse_poly("(2+3i)*z1 + z2^2 + 1", 2)
-pair = realify(f)
-print(f"f = {format_poly(f)}")
-print(f"  re f: {dict(sorted(pair.re.terms.items()))}")
-print(f"  im f: {dict(sorted(pair.im.terms.items()))}")

@@ -30,22 +30,18 @@ from .errors import (
 from .laurent import (
     LaurentPoly,
     NewtonPolytope,
-    RealPoly,
-    RealPolyPair,
     evaluate,
     fiber_restrict,
     log_gauss_numerator,
     monomial_clear,
     newton_polytope,
     partial,
-    realify,
 )
 from .parsing import format_poly, parse_poly
 from .numeric import (
     RootCluster,
     UniPoly,
     conj_reciprocal,
-    det,
     roots,
     solve_linear,
     sylvester_resultant,
@@ -71,9 +67,7 @@ from .linear import (
 from .raster import (
     Raster,
     amoeba_grids,
-    betti_grid,
     cell_walls,
-    classification_grid,
     lopsided_grid,
 )
 
@@ -83,17 +77,16 @@ __all__ = [
     "EmptyInput", "IdenticallyZero", "InconsistentOrder", "NegativeExponent",
     "NoConvergence", "NotLinear", "Overflow", "ParseError", "PolySyntaxError",
     "SingularMatrix", "UnknownVariable", "ZeroCoordinate",
-    "LaurentPoly", "NewtonPolytope", "RealPoly", "RealPolyPair",
+    "LaurentPoly", "NewtonPolytope",
     "evaluate", "fiber_restrict", "log_gauss_numerator", "monomial_clear",
-    "newton_polytope", "partial", "realify",
+    "newton_polytope", "partial",
     "format_poly", "parse_poly",
-    "RootCluster", "UniPoly", "conj_reciprocal", "det", "roots",
+    "RootCluster", "UniPoly", "conj_reciprocal", "roots",
     "solve_linear", "sylvester_resultant",
     "FiberSolution", "PointClass", "classify", "fiber_solutions",
     "is_critical", "lopsided", "order",
     "ContourPoint", "classify_contour", "contour_slice", "trace_contour",
     "AmoebaBasis", "BasisReport", "LinearSystem", "amoeba_basis",
     "linear_classify", "verify_basis",
-    "Raster", "amoeba_grids", "betti_grid", "cell_walls",
-    "classification_grid", "lopsided_grid",
+    "Raster", "amoeba_grids", "cell_walls", "lopsided_grid",
 ]

@@ -23,6 +23,7 @@ variable AMOEBA_THREADS caps the raster worker count.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -164,8 +165,15 @@ def _resolve_point(args):
     return tuple(vals)
 
 
-def _load_poly(args, nvars):
-    return parse_poly(args.poly, nvars)
+def _fiber_query(args):
+    """Point and polynomial of a query that solves on the fiber torus."""
+    w = _resolve_point(args)
+    if len(w) != 2:
+        raise ParseError(f"{args.cmd} needs a point with two coordinates")
+    f = parse_poly(args.poly, 2)
+    if len(f.terms) == 1:
+        raise DegenerateFiber("a monomial has no zeros in the torus")
+    return w, f
 
 
 def _parse_matrix(text):
@@ -178,6 +186,10 @@ def _parse_matrix(text):
         raise ParseError(f"bad matrix entry: {exc}") from None
     if any(len(r) != len(rows) for r in rows):
         raise ParseError("coefficient matrix must be square (rows split by ';')")
+    if len(rows) < 2:
+        raise ParseError("the basis construction needs at least two variables")
+    if not all(cmath.isfinite(z) for row in rows for z in row):
+        raise ParseError("matrix entries must be finite")
     return rows
 
 
@@ -250,21 +262,20 @@ def _export_raster(raster, outputs, rgb_of):
 # subcommand handlers
 # --------------------------------------------------------------------------
 
-def _cmd_member(args):
-    w = _resolve_point(args)
-    f = _load_poly(args, len(w))
+def _cmd_fiber(args):
+    """member and fiber: the fiber solutions, headed by a tag or a count."""
+    w, f = _fiber_query(args)
     sols = fiber_solutions(f, w, unit_tol=args.unit_tol, critical_tol=args.critical_tol)
-    _emit({
-        "point": list(w),
-        "tag": "Member" if sols else "NonMember",
-        "solutions": [_solution_obj(s) for s in sols],
-    })
+    if args.cmd == "member":
+        head = {"tag": "Member" if sols else "NonMember"}
+    else:
+        head = {"count": len(sols)}
+    _emit({"point": list(w), **head, "solutions": [_solution_obj(s) for s in sols]})
     return 0
 
 
 def _cmd_classify(args):
-    w = _resolve_point(args)
-    f = _load_poly(args, len(w))
+    w, f = _fiber_query(args)
     pc = classify(f, w, critical_tol=args.critical_tol, unit_tol=args.unit_tol)
     obj = {
         "point": list(w),
@@ -284,31 +295,19 @@ def _cmd_classify(args):
 
 def _cmd_order(args):
     w = _resolve_point(args)
-    f = _load_poly(args, len(w))
+    f = parse_poly(args.poly, len(w))
     _emit({"point": list(w), "order": list(order(f, w))})
     return 0
 
 
 def _cmd_lopsided(args):
     w = _resolve_point(args)
-    f = _load_poly(args, len(w))
+    f = parse_poly(args.poly, len(w))
     alpha = lopsided(f, w)
     _emit({
         "point": list(w),
         "lopsided": alpha is not None,
         "alpha": list(alpha) if alpha is not None else None,
-    })
-    return 0
-
-
-def _cmd_fiber(args):
-    w = _resolve_point(args)
-    f = _load_poly(args, len(w))
-    sols = fiber_solutions(f, w, unit_tol=args.unit_tol, critical_tol=args.critical_tol)
-    _emit({
-        "point": list(w),
-        "count": len(sols),
-        "solutions": [_solution_obj(s) for s in sols],
     })
     return 0
 
@@ -352,23 +351,17 @@ def _cmd_boundary(args):
     return 0
 
 
-def _cmd_betti(args):
-    f = parse_poly(args.poly, 2)
-    betti, _ = amoeba_grids(
-        f, args.window, args.res,
-        critical_tol=args.critical_tol, unit_tol=args.unit_tol,
-    )
-    _export_raster(betti, args.output, _betti_rgb)
-    return 0
-
-
 def _cmd_raster(args):
+    """betti and raster: one classification pass, exported as counts or tags."""
     f = parse_poly(args.poly, 2)
-    _, tags = amoeba_grids(
+    betti, tags = amoeba_grids(
         f, args.window, args.res,
         critical_tol=args.critical_tol, unit_tol=args.unit_tol,
     )
-    _export_raster(tags, args.output, _tag_rgb)
+    if args.cmd == "betti":
+        _export_raster(betti, args.output, _betti_rgb)
+    else:
+        _export_raster(tags, args.output, _tag_rgb)
     return 0
 
 
@@ -444,7 +437,7 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
-    add("member", _cmd_member, "is the point in the amoeba", point=True)
+    add("member", _cmd_fiber, "is the point in the amoeba", point=True)
     add("classify", _cmd_classify, "four-way point classification", point=True)
     add("order", _cmd_order, "order vector of a complement point", point=True)
     add("lopsided", _cmd_lopsided, "dominant-term complement certificate",
@@ -454,7 +447,7 @@ def build_parser():
         slices=True, outputs=True)
     add("boundary", _cmd_boundary, "boundary-classified contour points",
         slices=True, outputs=True)
-    add("betti", _cmd_betti, "raster of fiber solution counts",
+    add("betti", _cmd_raster, "raster of fiber solution counts",
         window=True, outputs=True)
     add("raster", _cmd_raster, "raster of classification tags",
         window=True, outputs=True)

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateSlice, IdenticallyZero
-from .fiber import classify
+from .fiber import _dense, _eval_bi, _score, classify
 from .laurent import log_gauss_numerator, monomial_clear
 from .numeric import UniPoly, roots, sylvester_resultant
 
@@ -59,27 +59,6 @@ class ContourPoint:
             f"ContourPoint(w=({self.w[0]:.9f}, {self.w[1]:.9f}), "
             f"theta={self.s_param:.9f})"
         )
-
-
-def _dense(g):
-    """Cleared 2-variable LaurentPoly to a dense array b[i, j] ~ z1^i z2^j."""
-    d1 = g.degree_span(0)[1]
-    d2 = g.degree_span(1)[1]
-    b = np.zeros((d1 + 1, d2 + 1), dtype=complex)
-    for (a1, a2), c in g.terms.items():
-        b[a1, a2] = c
-    return b
-
-
-def _eval_bi(b, z1, z2):
-    """Value and both Gauss numerators z_j dp/dz_j of a dense bivariate poly."""
-    p1 = z1 ** np.arange(b.shape[0])
-    p2 = z2 ** np.arange(b.shape[1])
-    rows = b @ p2
-    val = p1 @ rows
-    gam1 = (np.arange(b.shape[0]) * p1) @ rows
-    gam2 = (p1 @ b) @ (np.arange(b.shape[1]) * p2)
-    return complex(val), complex(gam1), complex(gam2)
 
 
 def _abs_at(b, z1, z2):
@@ -138,11 +117,11 @@ def _direct_candidates(gb, hb):
         if abs(t1) < TORUS_CUTOFF:
             continue
         slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
-        if gb.shape[1] == 1:
-            # f lost z2 as well; a shared root would carry a full line
-            _vertical_guard(gb, t1, slice_c)
-            continue
         _vertical_guard(gb, t1, slice_c)
+        if gb.shape[1] == 1:
+            # f lost z2 as well: no t2 to solve for, and the guard has
+            # already rejected a shared root, which would carry a full line
+            continue
         for c2 in roots(UniPoly(slice_c)):
             if abs(c2.center) >= TORUS_CUTOFF:
                 pairs.append((t1, c2.center))
@@ -241,8 +220,7 @@ def contour_slice(f, theta):
             continue  # also rejects non-finite values from runaway candidates
         # witnesses must be critical: real Gauss image or a singular point
         if abs(gg1) >= 1e-13 * sgg1 or abs(gg2) >= 1e-13 * sgg2:
-            score = abs((gg1 * gg2.conjugate()).imag) / max(abs(gg1 * gg2), 1e-300)
-            if score >= 1e-6:
+            if _score(gg1, gg2) >= 1e-6:
                 continue
         resid = abs(gval) / max(sg, 1e-300) + abs(hval) / max(sh, 1e-300)
         for item in kept:

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateFiber, IdenticallyZero, InconsistentOrder
-from .laurent import LaurentPoly, fiber_restrict, log_gauss_numerator, monomial_clear
+from .laurent import _term_log_moduli, fiber_restrict, log_gauss_numerator, monomial_clear
 from .numeric import UniPoly, roots, sylvester_resultant
 
 FIBER_TAGS = ("Complement", "Interior", "ContourInterior", "Boundary", "Degenerate")
@@ -89,16 +89,19 @@ def _dense(g):
     return b
 
 
-def _eval_gauss(gb, t1, t2):
-    """Value and both Gauss numerators t_j dg/dt_j of a dense bivariate poly."""
-    p1 = t1 ** np.arange(gb.shape[0])
-    p2 = t2 ** np.arange(gb.shape[1])
-    rows = gb @ p2
+def _eval_bi(b, z1, z2):
+    """Value and both Gauss numerators z_j dp/dz_j of a dense bivariate poly.
+
+    ``b[i, j]`` is the coefficient of z1^i z2^j; the three values come back
+    as Python complex numbers.
+    """
+    p1 = z1 ** np.arange(b.shape[0])
+    p2 = z2 ** np.arange(b.shape[1])
+    rows = b @ p2
     val = p1 @ rows
-    gam1 = (np.arange(gb.shape[0]) * p1) @ rows
-    cols = p1 @ gb
-    gam2 = cols @ (np.arange(gb.shape[1]) * p2)
-    return val, gam1, gam2
+    gam1 = (np.arange(b.shape[0]) * p1) @ rows
+    gam2 = (p1 @ b) @ (np.arange(b.shape[1]) * p2)
+    return complex(val), complex(gam1), complex(gam2)
 
 
 def _polish_phi(gb, phi, steps=10, scale=None):
@@ -109,7 +112,7 @@ def _polish_phi(gb, phi, steps=10, scale=None):
     val = None
     for _ in range(steps):
         t1, t2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
-        val, g1, g2 = _eval_gauss(gb, t1, t2)
+        val, g1, g2 = _eval_bi(gb, t1, t2)
         if abs(val) < 1e-15 * scale:
             break
         # d/dphi_j g(e^{i phi}) = i gamma_j
@@ -131,7 +134,7 @@ def _polish_phi(gb, phi, steps=10, scale=None):
             d1, d2 = 0.3 * d1 / step, 0.3 * d2 / step
         p1, p2 = p1 - d1, p2 - d2
     t1, t2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
-    val, g1, g2 = _eval_gauss(gb, t1, t2)
+    val, g1, g2 = _eval_bi(gb, t1, t2)
     return (_wrap(p1), _wrap(p2)), val, g1, g2
 
 
@@ -434,6 +437,8 @@ def order(f, w, samples=3):
     InconsistentOrder
         If the draws disagree; w is too close to the amoeba for the slice
         count to be stable.
+    Overflow
+        If w is non-finite or some log term modulus is not representable.
     """
     n = f.nvars
     w = [float(v) for v in w]
@@ -441,17 +446,13 @@ def order(f, w, samples=3):
     rng = np.random.default_rng(_ORDER_SEED)
     out = []
     for j in range(n):
+        # log-scale normalization shared by every slice coefficient; z_j is
+        # the slice variable, so its coordinate drops out of the moduli
+        logs = _term_log_moduli(items, [0.0 if k == j else w[k] for k in range(n)])
+        cap = max(logs)
         seen = set()
         for _ in range(samples):
             theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-            # log-scale normalization shared by every slice coefficient
-            logs = []
-            for alpha, b in items:
-                m = math.log(abs(b)) + math.fsum(
-                    alpha[k] * w[k] for k in range(n) if k != j
-                )
-                logs.append(m)
-            cap = max(logs)
             slice_terms = {}
             for (alpha, b), m in zip(items, logs):
                 phase = b / abs(b)
@@ -483,16 +484,12 @@ def lopsided(f, w):
     Returns the exponent alpha whose term modulus strictly exceeds the sum
     of all the others on the fiber over w, or None when no term dominates.
     A returned alpha proves that w is in the complement and that its
-    component has order alpha.
+    component has order alpha.  Raises Overflow when w is non-finite.
     """
     if not f.terms:
         return None
-    w = [float(v) for v in w]
     items = sorted(f.terms.items())
-    logs = [
-        math.log(abs(b)) + math.fsum(a * v for a, v in zip(alpha, w))
-        for alpha, b in items
-    ]
+    logs = _term_log_moduli(items, [float(v) for v in w])
     cap = max(logs)
     vals = [math.exp(m - cap) for m in logs]
     total = math.fsum(vals)

@@ -3,9 +3,10 @@
 A Laurent polynomial f(z) = sum_alpha b_alpha z^alpha in n variables is
 stored as a dictionary from integer exponent vectors to complex
 coefficients.  The module keeps the algebra deliberately small: evaluate,
-differentiate, build the logarithmic-Gauss numerators z_j df/dz_j, split
-into real and imaginary parts over R[x, y], restrict to the fiber torus
-over a log-point w, and take the Newton polytope.
+differentiate, build the logarithmic-Gauss numerators z_j df/dz_j, take
+the term log-moduli log|b_alpha| + <alpha, w> that term dominance and the
+fiber restriction over a log-point w are read from, and take the Newton
+polytope.
 
 >>> f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 >>> evaluate(f, (1.0, 1.0))
@@ -15,8 +16,6 @@ over a log-point w, and take the Newton polytope.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import NegativeExponent, Overflow, ZeroCoordinate
 
@@ -159,60 +158,6 @@ class LaurentPoly:
         return (min(exps), max(exps))
 
 
-class RealPoly:
-    """Real polynomial in 2n variables (x1..xn, y1..yn), sparse like LaurentPoly."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms):
-        self.nvars = nvars
-        self.terms = {tuple(int(a) for a in e): float(c) for e, c in terms.items() if c != 0.0}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        items = ", ".join(f"{a}: {b}" for a, b in sorted(self.terms.items()))
-        return f"RealPoly({self.nvars}, {{{items}}})"
-
-    def evaluate(self, xy):
-        """Evaluate at a real point (x1..xn, y1..yn) with compensated summation."""
-        xy = [float(v) for v in xy]
-        if len(xy) != self.nvars:
-            raise ValueError("point has wrong arity")
-        s = 0.0
-        comp = 0.0
-        for expo in sorted(self.terms):
-            term = self.terms[expo]
-            for v, a in zip(xy, expo):
-                term *= v**a
-            y = term - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-        return s
-
-
-class RealPolyPair:
-    """Real and imaginary parts of f(x + iy) as real polynomials."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __iter__(self):
-        return iter((self.re, self.im))
-
-    def __repr__(self):
-        return f"RealPolyPair(re={self.re!r}, im={self.im!r})"
-
-
 class NewtonPolytope:
     """Convex hull of the support lattice points.
 
@@ -318,52 +263,6 @@ def log_gauss_numerator(f, j):
     return LaurentPoly(f.nvars, out)
 
 
-def realify(f):
-    """Split f(x + iy) into real and imaginary parts over R[x1..xn, y1..yn].
-
-    Parameters
-    ----------
-    f : LaurentPoly
-        Must have nonnegative exponents; clear denominators first.
-
-    Returns
-    -------
-    RealPolyPair
-        Polynomials (f_re, f_im) in 2n real variables, ordered
-        (x1..xn, y1..yn), with f(x + iy) = f_re(x, y) + i f_im(x, y).
-
-    Raises
-    ------
-    NegativeExponent
-        If any exponent of f is negative.
-    """
-    n = f.nvars
-    total = {}
-    for alpha, b in sorted(f.terms.items()):
-        if any(a < 0 for a in alpha):
-            raise NegativeExponent("realify needs a polynomial; clear denominators first")
-        acc = {(0,) * (2 * n): complex(b)}
-        for j, a in enumerate(alpha):
-            if a == 0:
-                continue
-            parts = [(a - k, k, math.comb(a, k) * 1j**k) for k in range(a + 1)]
-            nxt = {}
-            for expo, c in acc.items():
-                for xk, yk, bc in parts:
-                    e = list(expo)
-                    e[j] += xk
-                    e[n + j] += yk
-                    e = tuple(e)
-                    v = nxt.get(e, 0j) + c * bc
-                    nxt[e] = v
-            acc = nxt
-        for expo, c in acc.items():
-            total[expo] = total.get(expo, 0j) + c
-    re = {e: c.real for e, c in total.items() if c.real != 0.0}
-    im = {e: c.imag for e, c in total.items() if c.imag != 0.0}
-    return RealPolyPair(RealPoly(2 * n, re), RealPoly(2 * n, im))
-
-
 def fiber_restrict(f, w):
     """Restrict f to the fiber torus over the log-point w.
 
@@ -393,23 +292,38 @@ def fiber_restrict(f, w):
     w = [float(v) for v in w]
     if len(w) != f.nvars:
         raise ValueError("w has wrong arity")
-    if not all(math.isfinite(v) for v in w):
-        raise Overflow("w must be finite")
-    if not f.terms:
+    logs = _term_log_moduli(f.terms.items(), w)
+    if not logs:
         return LaurentPoly(f.nvars, {}), 0.0
-    logs = {}
-    for alpha, b in f.terms.items():
-        m = math.log(abs(b)) + math.fsum(a * v for a, v in zip(alpha, w))
-        if not math.isfinite(m):
-            raise Overflow(f"<alpha, w> overflows for alpha={alpha}")
-        logs[alpha] = m
-    cap = max(logs.values())
+    cap = max(logs)
     out = {}
-    for alpha, b in f.terms.items():
-        mag = math.exp(logs[alpha] - cap)
+    for (alpha, b), m in zip(f.terms.items(), logs):
+        mag = math.exp(m - cap)
         if mag >= PRUNE_REL:
             out[alpha] = (b / abs(b)) * mag
     return LaurentPoly(f.nvars, out), cap
+
+
+def _term_log_moduli(items, w):
+    """log|b_alpha| + <alpha, w> for each (alpha, b_alpha) of ``items``, in order.
+
+    These are the log term moduli on the fiber torus over w, the input of
+    every term-dominance (lopsidedness) test and of the fiber restriction.
+
+    Raises
+    ------
+    Overflow
+        If w is non-finite or some <alpha, w> is not representable.
+    """
+    if not all(math.isfinite(v) for v in w):
+        raise Overflow("w must be finite")
+    logs = []
+    for alpha, b in items:
+        m = math.log(abs(b)) + math.fsum(a * v for a, v in zip(alpha, w))
+        if not math.isfinite(m):
+            raise Overflow(f"<alpha, w> overflows for alpha={alpha}")
+        logs.append(m)
+    return logs
 
 
 def _cross(o, a, b):

@@ -271,13 +271,6 @@ def amoeba_basis(sys):
 _VERIFY_SEED = 8675309
 
 
-def _dominance_gaps(g, w):
-    """Per-index values r_j - (sum of the rest); positive means Complement."""
-    vals = _term_moduli(g, w)
-    total = math.fsum(vals)
-    return [vj - (total - vj) for vj in vals]
-
-
 def _minimality_witness(basis, i, pool):
     """A point inside every amoeba except the i-th, or None."""
     others = [g for k, g in enumerate(basis.polys) if k != i]

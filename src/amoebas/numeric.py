@@ -1,8 +1,8 @@
 """Self-contained numeric kernel for the torus computations.
 
 Univariate dense polynomials over C, a simultaneous (Aberth-Ehrlich) root
-finder with cluster-based multiplicities, LU-backed determinants and linear
-solves, the Sylvester resultant of two bivariate polynomials computed by
+finder with cluster-based multiplicities, a partial-pivot LU linear solve,
+the Sylvester resultant of two bivariate polynomials computed by
 evaluation and interpolation on a circle of nodes, and the
 conjugate-reciprocal transform that mirrors a polynomial across the unit
 torus.
@@ -271,16 +271,6 @@ def roots(p, max_iter=500):
 # linear algebra
 # --------------------------------------------------------------------------
 
-def det(m):
-    """Determinant of a square complex matrix (LU with partial pivoting)."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
-    if m.shape[0] == 1:
-        return complex(m[0, 0])
-    return complex(np.linalg.det(m))
-
-
 def solve_linear(a, b):
     """Solve a x = b, rejecting near-singular systems.
 
@@ -378,25 +368,6 @@ def conj_reciprocal(g, d):
 # Sylvester resultant by evaluation-interpolation
 # --------------------------------------------------------------------------
 
-def _as_bi_array(g):
-    """Coerce a bivariate polynomial to a 2-d array b[i, j] ~ t1^i t2^j."""
-    if isinstance(g, np.ndarray):
-        b = np.asarray(g, dtype=complex)
-        if b.ndim != 2:
-            raise ValueError("bivariate coefficient array must be 2-d")
-        return b
-    if isinstance(g, (list, tuple)):
-        # list of UniPoly in t1, indexed by t2 power
-        cols = [p.coeffs if isinstance(p, UniPoly) else np.atleast_1d(np.asarray(p, complex))
-                for p in g]
-        d1 = max(c.size for c in cols)
-        b = np.zeros((d1, len(cols)), dtype=complex)
-        for j, c in enumerate(cols):
-            b[:c.size, j] = c
-        return b
-    raise TypeError("expected 2-d array or a sequence of UniPoly")
-
-
 def _sylvester_batch(avals, bvals):
     """Batched Sylvester determinants from per-node coefficient rows.
 
@@ -425,12 +396,12 @@ def _sylvester_batch(avals, bvals):
 def sylvester_resultant(g, h):
     """Resultant of g and h with respect to t2, as a polynomial in t1.
 
-    Both inputs are bivariate with formal t2-degree >= 1 (2-d coefficient
-    arrays b[i, j] for t1^i t2^j, or sequences of UniPoly-in-t1 indexed by
-    the t2 power).  The resultant is the determinant of the Sylvester
-    matrix built from the formal degrees; it is recovered by evaluating
-    that determinant at D+1 nodes rho e^{2 pi i k/(D+1)} on a circle and
-    inverting the DFT, where D = deg1(g) deg2(h) + deg1(h) deg2(g).
+    Both inputs are 2-d coefficient arrays b[i, j] for t1^i t2^j with
+    formal t2-degree >= 1 (at least two columns).  The resultant is the
+    determinant of the Sylvester matrix built from the formal degrees; it
+    is recovered by evaluating that determinant at D+1 nodes
+    rho e^{2 pi i k/(D+1)} on a circle and inverting the DFT, where
+    D = deg1(g) deg2(h) + deg1(h) deg2(g).
     Falls back to rho in {0.7, 1.3} when the self-check at a probe point
     fails at rho = 1.
 
@@ -445,8 +416,8 @@ def sylvester_resultant(g, h):
         If every sampled determinant is below 1e-12 times its Hadamard
         bound (the two curves share a component).
     """
-    gb = _as_bi_array(g)
-    hb = _as_bi_array(h)
+    gb = np.asarray(g, dtype=complex)
+    hb = np.asarray(h, dtype=complex)
     if gb.shape[1] < 2 or hb.shape[1] < 2:
         raise ValueError("both polynomials need positive degree in the eliminated variable")
     d1g, d2g = gb.shape[0] - 1, gb.shape[1] - 1

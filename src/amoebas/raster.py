@@ -127,16 +127,6 @@ def amoeba_grids(f, window, resolution, critical_tol=1e-6, unit_tol=1e-6):
     )
 
 
-def betti_grid(f, window, resolution, critical_tol=1e-6, unit_tol=1e-6):
-    """Raster of fiber solution counts; see amoeba_grids."""
-    return amoeba_grids(f, window, resolution, critical_tol, unit_tol)[0]
-
-
-def classification_grid(f, window, resolution, critical_tol=1e-6, unit_tol=1e-6):
-    """Raster of PointClass tags; see amoeba_grids."""
-    return amoeba_grids(f, window, resolution, critical_tol, unit_tol)[1]
-
-
 def lopsided_grid(f, window, resolution):
     """Raster of dominant-term certificates (True where some term dominates).
 

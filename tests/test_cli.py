@@ -129,6 +129,25 @@ def test_degenerate_fiber_is_exit_3(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("basis", "--linear", "nan,1;1,1"), 2),
+        (("basis", "--linear", "2"), 2),
+        (("classify", "--poly", CUBIC, "--point", "0,0,0"), 2),
+        (("member", "--poly", CUBIC, "--point", "0,0,0"), 2),
+        (("fiber", "--poly", CUBIC, "--point", "0,0,0"), 2),
+        (("classify", "--poly", "z1", "--point", "0,0"), 3),
+    ],
+    ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial"],
+)
+def test_parsed_but_invalid_query_is_an_exit_code(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_singular_basis_matrix_is_exit_3(capsys):
     code, _, err = run(capsys, "basis", "--linear", "1,2;2,4")
     assert code == 3

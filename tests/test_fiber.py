@@ -6,18 +6,23 @@ import random
 import numpy as np
 import pytest
 
+import amoebas.fiber
 from amoebas import (
     DegenerateFiber,
     InconsistentOrder,
     LaurentPoly,
+    Overflow,
     classify,
+    evaluate,
     fiber_solutions,
     is_critical,
+    log_gauss_numerator,
     lopsided,
+    monomial_clear,
     order,
     parse_poly,
 )
-from amoebas.fiber import BothGaussComponentsZero
+from amoebas.fiber import BothGaussComponentsZero, _dense, _eval_bi, _solve_fiber
 
 from oracles import brute_member, eval_at_phases
 
@@ -135,6 +140,77 @@ def test_conjugation_symmetry_for_real_coefficients():
 
 
 # --------------------------------------------------------------------------
+# the dense kernel shared with the contour sweep
+# --------------------------------------------------------------------------
+
+def test_dense_evaluator_matches_sparse_evaluation():
+    rng = random.Random(4711)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            a = (rng.randint(-3, 4), rng.randint(-3, 4))
+            terms[a] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        g, _ = monomial_clear(LaurentPoly(2, terms))
+        z = tuple(
+            math.exp(rng.uniform(-1, 1)) * complex(math.cos(p), math.sin(p))
+            for p in (rng.uniform(0, TAU), rng.uniform(0, TAU))
+        )
+        got = _eval_bi(_dense(g), *z)
+        sparse = (g, log_gauss_numerator(g, 0), log_gauss_numerator(g, 1))
+        for value, p in zip(got, sparse):
+            assert type(value) is complex
+            # relative to the sum of the term moduli, which cancellation
+            # in the value itself cannot shrink
+            scale = sum(abs(b * z[0] ** a1 * z[1] ** a2) for (a1, a2), b in p.terms.items())
+            assert abs(value - evaluate(p, z)) <= 1e-12 * max(scale, 1e-300)
+
+
+def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
+    # record every elimination and univariate solve; a fiber decided
+    # without either was decided by the dominance shortcut
+    calls = []
+    for name in ("sylvester_resultant", "_univariate_fiber"):
+        original = getattr(amoebas.fiber, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(amoebas.fiber, name, recorded)
+    rng = random.Random(99)
+    shortcuts = 0
+    for k in range(400):
+        if k % 2:
+            # points on either side of the lopsided boundary of
+            # 1 + b1 z1 - b2 z2, where the z1 term beats or trails the sum
+            # of the others by a relative margin eps
+            b1, b2 = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+            f = LaurentPoly(2, {(0, 0): 1.0, (1, 0): b1, (0, 1): -b2})
+            w2 = rng.uniform(-2.0, 2.0)
+            eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -3)
+            w = (math.log((1.0 + b2 * math.exp(w2)) * (1.0 + eps) / b1), w2)
+        else:
+            terms = {}
+            for _ in range(rng.randint(2, 6)):
+                a = (rng.randint(-3, 3), rng.randint(-3, 3))
+                mag = 10.0 ** rng.uniform(-16, 2)
+                terms[a] = mag * complex(math.cos(k), math.sin(k * 1.7))
+            f = LaurentPoly(2, terms)
+            w = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if len(f.terms) < 2:
+            continue
+        calls.clear()
+        try:
+            sols, _ = _solve_fiber(f, w)
+        except DegenerateFiber:
+            continue
+        if not sols and not calls:
+            shortcuts += 1
+            assert lopsided(f, w) is not None, (dict(f.terms), w)
+    assert shortcuts > 100
+
+
+# --------------------------------------------------------------------------
 # degenerate fibers
 # --------------------------------------------------------------------------
 
@@ -231,6 +307,13 @@ def test_lopsided_certificate_and_silence():
     assert lopsided(f, (-10.0, -10.0)) == (0, 0)
     # near the triple point nothing dominates
     assert lopsided(f, (math.log(0.5), math.log(0.5))) is None
+
+
+def test_lopsided_and_order_reject_non_finite_points():
+    f = parse_poly("1 + z1 + z2", 2)
+    for query in (lopsided, order):
+        with pytest.raises(Overflow):
+            query(f, (math.inf, 0.0))
 
 
 def test_lopsided_never_contradicts_membership():

@@ -7,7 +7,6 @@ import pytest
 
 from amoebas import (
     LaurentPoly,
-    NegativeExponent,
     Overflow,
     ZeroCoordinate,
     evaluate,
@@ -16,7 +15,6 @@ from amoebas import (
     monomial_clear,
     newton_polytope,
     partial,
-    realify,
 )
 
 
@@ -66,57 +64,6 @@ def test_log_gauss_numerator_keeps_exponent():
     f = LaurentPoly(2, {(2, 1): 1.0, (-1, 0): -3.0, (0, 5): 7.0})
     g = log_gauss_numerator(f, 0)
     assert dict(g.terms) == {(2, 1): 2 + 0j, (-1, 0): 3 + 0j}
-
-
-def test_realify_worked_example():
-    # f = 2 z1^2 + (1+3i) z1 z2 + 4i z2 + 1,  z_j = x_j + i y_j,
-    # variables ordered (x1, x2, y1, y2)
-    f = LaurentPoly(2, {(2, 0): 2.0, (1, 1): 1 + 3j, (0, 1): 4j, (0, 0): 1.0})
-    pair = realify(f)
-    assert dict(pair.re.terms) == {
-        (0, 0, 0, 0): 1.0,
-        (0, 0, 0, 1): -4.0,
-        (0, 0, 1, 1): -1.0,
-        (0, 0, 2, 0): -2.0,
-        (0, 1, 1, 0): -3.0,
-        (1, 0, 0, 1): -3.0,
-        (1, 1, 0, 0): 1.0,
-        (2, 0, 0, 0): 2.0,
-    }
-    assert dict(pair.im.terms) == {
-        (0, 0, 1, 1): -3.0,
-        (0, 1, 0, 0): 4.0,
-        (0, 1, 1, 0): 1.0,
-        (1, 0, 0, 1): 1.0,
-        (1, 0, 1, 0): 4.0,
-        (1, 1, 0, 0): 3.0,
-    }
-
-
-def test_realify_negative_exponent_rejected():
-    f = LaurentPoly(2, {(-1, 0): 1.0})
-    with pytest.raises(NegativeExponent):
-        realify(f)
-
-
-def test_realify_matches_complex_evaluation():
-    rng = random.Random(7)
-    for _ in range(50):
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = complex(
-                rng.uniform(-2, 2), rng.uniform(-2, 2)
-            )
-        f = LaurentPoly(2, terms)
-        pair = realify(f)
-        x1, y1 = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        x2, y2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        val = evaluate(f, (complex(x1, y1), complex(x2, y2)))
-        xv = (x1, x2, y1, y2)
-        re = sum(c.real * math.prod(v**e for v, e in zip(xv, a)) for a, c in pair.re.terms.items())
-        im = sum(c.real * math.prod(v**e for v, e in zip(xv, a)) for a, c in pair.im.terms.items())
-        assert re == pytest.approx(val.real, abs=1e-10)
-        assert im == pytest.approx(val.imag, abs=1e-10)
 
 
 def test_fiber_restrict_normalizes_largest_modulus_to_one():

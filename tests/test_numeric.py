@@ -1,8 +1,8 @@
 """Root finder, linear algebra, mirror transform, Sylvester resultant.
 
 The oracles here are deliberately independent of the kernel: numpy's
-companion-matrix roots, a cofactor-expansion determinant, Vieta sums, and
-a Newton-coefficient sweep for resultants.
+companion-matrix roots, numpy's dense solve, Vieta sums, and a
+Newton-coefficient sweep for resultants.
 """
 
 import itertools
@@ -18,23 +18,10 @@ from amoebas import (
     SingularMatrix,
     UniPoly,
     conj_reciprocal,
-    det,
     roots,
     solve_linear,
     sylvester_resultant,
 )
-
-
-def cofactor_det(m):
-    m = [list(row) for row in m]
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * cofactor_det(minor)
-    return total
 
 
 def match_root_sets(found, expected, tol):
@@ -136,26 +123,8 @@ def test_root_cluster_repr_mentions_multiplicity():
 
 
 # --------------------------------------------------------------------------
-# det / solve
+# solve
 # --------------------------------------------------------------------------
-
-def test_det_1x1_exact():
-    assert det([[3.25 + 1j]]) == 3.25 + 1j
-
-
-def test_det_vs_cofactor_oracle():
-    rng = random.Random(5)
-    for n in (2, 3, 4, 5, 6):
-        m = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
-             for _ in range(n)]
-        expected = cofactor_det(m)
-        assert det(m) == pytest.approx(expected, rel=1e-10)
-
-
-def test_det_requires_square():
-    with pytest.raises(ValueError):
-        det([[1.0, 2.0]])
-
 
 def test_solve_linear_basic():
     x = solve_linear([[0.5, 0.5], [2.0, -1.0]], [-1.0, -1.0])

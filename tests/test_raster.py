@@ -6,9 +6,7 @@ import pytest
 from amoebas import (
     Raster,
     amoeba_grids,
-    betti_grid,
     cell_walls,
-    classification_grid,
     lopsided_grid,
     parse_poly,
 )
@@ -62,7 +60,7 @@ def test_counts_respect_the_intersection_bound(harnack_grids):
     betti, _ = harnack_grids
     deg = max(sum(a) for a in HARNACK.terms)
     assert betti.cells.max() <= 4 * deg * deg
-    small = betti_grid(CUBIC13, WINDOW, (9, 9))
+    small = amoeba_grids(CUBIC13, WINDOW, (9, 9))[0]
     deg = max(sum(a) for a in CUBIC13.terms)
     assert small.cells[small.cells >= 0].max() <= 4 * deg * deg
 
@@ -84,7 +82,7 @@ def test_degenerate_cells_carry_the_sentinel():
 
 def test_lopsided_grid_never_contradicts_membership():
     lop = lopsided_grid(CUBIC13, WINDOW, (9, 9))
-    betti = betti_grid(CUBIC13, WINDOW, (9, 9))
+    betti = amoeba_grids(CUBIC13, WINDOW, (9, 9))[0]
     assert lop.cells.dtype == bool
     assert np.all(betti.cells[lop.cells] == 0)
     assert lop.cells.any()
@@ -107,20 +105,20 @@ def test_cell_walls_skip_sentinel_cells():
 
 
 def test_cell_walls_reject_tag_rasters():
-    tags = classification_grid(CUBIC13, WINDOW, (3, 3))
+    tags = amoeba_grids(CUBIC13, WINDOW, (3, 3))[1]
     with pytest.raises(ValueError):
         cell_walls(tags)
 
 
 def test_thread_count_matches_serial(monkeypatch):
     monkeypatch.delenv("AMOEBA_THREADS", raising=False)
-    serial = betti_grid(CUBIC13, WINDOW, (7, 7))
+    serial = amoeba_grids(CUBIC13, WINDOW, (7, 7))[0]
     monkeypatch.setenv("AMOEBA_THREADS", "2")
-    threaded = betti_grid(CUBIC13, WINDOW, (7, 7))
+    threaded = amoeba_grids(CUBIC13, WINDOW, (7, 7))[0]
     assert np.array_equal(serial.cells, threaded.cells)
 
 
 def test_unusable_thread_setting_means_serial(monkeypatch):
     monkeypatch.setenv("AMOEBA_THREADS", "many")
-    r = betti_grid(CUBIC13, ((-1.0, -1.0), (1.0, 1.0)), (3, 3))
+    r = amoeba_grids(CUBIC13, ((-1.0, -1.0), (1.0, 1.0)), (3, 3))[0]
     assert r.cells.shape == (3, 3)
