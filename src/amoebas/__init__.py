@@ -35,13 +35,11 @@ from .laurent import (
     log_gauss_numerator,
     monomial_clear,
     newton_polytope,
-    partial,
 )
 from .parsing import format_poly, parse_poly
 from .numeric import (
     RootCluster,
     UniPoly,
-    conj_reciprocal,
     roots,
     solve_linear,
     sylvester_resultant,
@@ -51,7 +49,6 @@ from .fiber import (
     PointClass,
     classify,
     fiber_solutions,
-    is_critical,
     lopsided,
     order,
 )
@@ -68,7 +65,6 @@ from .raster import (
     Raster,
     amoeba_grids,
     cell_walls,
-    lopsided_grid,
 )
 
 __all__ = [
@@ -79,14 +75,14 @@ __all__ = [
     "SingularMatrix", "UnknownVariable", "ZeroCoordinate",
     "LaurentPoly", "NewtonPolytope",
     "evaluate", "fiber_restrict", "log_gauss_numerator", "monomial_clear",
-    "newton_polytope", "partial",
+    "newton_polytope",
     "format_poly", "parse_poly",
-    "RootCluster", "UniPoly", "conj_reciprocal", "roots",
+    "RootCluster", "UniPoly", "roots",
     "solve_linear", "sylvester_resultant",
     "FiberSolution", "PointClass", "classify", "fiber_solutions",
-    "is_critical", "lopsided", "order",
+    "lopsided", "order",
     "ContourPoint", "classify_contour", "contour_slice", "trace_contour",
     "AmoebaBasis", "BasisReport", "LinearSystem", "amoeba_basis",
     "linear_classify", "verify_basis",
-    "Raster", "amoeba_grids", "cell_walls", "lopsided_grid",
+    "Raster", "amoeba_grids", "cell_walls",
 ]

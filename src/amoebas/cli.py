@@ -26,6 +26,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -150,6 +151,13 @@ def _positive_float(text):
     return v
 
 
+def _positive_int(text):
+    v = int(text)
+    if v <= 0:
+        raise ValueError("must be positive")
+    return v
+
+
 def _resolve_point(args):
     """The queried log-point; --abs input is positive moduli to take logs of."""
     try:
@@ -171,6 +179,8 @@ def _fiber_query(args):
     if len(w) != 2:
         raise ParseError(f"{args.cmd} needs a point with two coordinates")
     f = parse_poly(args.poly, 2)
+    if not f.terms:
+        raise DegenerateFiber("zero polynomial vanishes on every fiber")
     if len(f.terms) == 1:
         raise DegenerateFiber("a monomial has no zeros in the torus")
     return w, f
@@ -248,9 +258,16 @@ def _write_svg(path, raster, rgb_of):
         fh.write("\n".join(parts) + "\n")
 
 
+def _check_outputs(outputs):
+    """Reject --output paths that cannot be written, before any computation."""
+    for path in outputs:
+        folder = os.path.dirname(path) or "."
+        target = path if os.path.exists(path) else folder
+        if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+            raise ParseError(f"cannot write --output {path}")
+
+
 def _export_raster(raster, outputs, rgb_of):
-    if not outputs:
-        raise ParseError("an --output path ending in .ppm or .svg is required")
     for path in outputs:
         if path.endswith(".svg"):
             _write_svg(path, raster, rgb_of)
@@ -265,7 +282,7 @@ def _export_raster(raster, outputs, rgb_of):
 def _cmd_fiber(args):
     """member and fiber: the fiber solutions, headed by a tag or a count."""
     w, f = _fiber_query(args)
-    sols = fiber_solutions(f, w, unit_tol=args.unit_tol, critical_tol=args.critical_tol)
+    sols = fiber_solutions(f, w)
     if args.cmd == "member":
         head = {"tag": "Member" if sols else "NonMember"}
     else:
@@ -276,7 +293,7 @@ def _cmd_fiber(args):
 
 def _cmd_classify(args):
     w, f = _fiber_query(args)
-    pc = classify(f, w, critical_tol=args.critical_tol, unit_tol=args.unit_tol)
+    pc = classify(f, w)
     obj = {
         "point": list(w),
         "tag": pc.tag,
@@ -314,12 +331,13 @@ def _cmd_lopsided(args):
 
 def _contour_rows(args):
     f = parse_poly(args.poly, 2)
+    _check_outputs(args.output)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pts = trace_contour(f, args.slices)
     for note in caught:
         print(f"note: {note.message}", file=sys.stderr)
-    parts = classify_contour(f, pts, critical_tol=args.critical_tol)
+    parts = classify_contour(f, pts)
     rows = []
     for bucket in parts.values():
         for p, pc in bucket:
@@ -354,10 +372,10 @@ def _cmd_boundary(args):
 def _cmd_raster(args):
     """betti and raster: one classification pass, exported as counts or tags."""
     f = parse_poly(args.poly, 2)
-    betti, tags = amoeba_grids(
-        f, args.window, args.res,
-        critical_tol=args.critical_tol, unit_tol=args.unit_tol,
-    )
+    if not args.output:
+        raise ParseError("an --output path ending in .ppm or .svg is required")
+    _check_outputs(args.output)
+    betti, tags = amoeba_grids(f, args.window, args.res)
     if args.cmd == "betti":
         _export_raster(betti, args.output, _betti_rgb)
     else:
@@ -401,7 +419,7 @@ def build_parser():
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def add(name, func, help_text, *, point=False, poly=True, window=False,
-            slices=False, tols=True, outputs=False):
+            slices=False, outputs=False):
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_VALUE
         if poly:
@@ -423,12 +441,9 @@ def build_parser():
             )
         if slices:
             p.add_argument(
-                "--slices", type=int, default=360,
+                "--slices", type=_positive_int, default=360,
                 help="number of sweep angles in [0, pi) (default 360)",
             )
-        if tols:
-            p.add_argument("--critical-tol", type=_positive_float, default=1e-6)
-            p.add_argument("--unit-tol", type=_positive_float, default=1e-6)
         if outputs:
             p.add_argument(
                 "--output", action="append", default=[],
@@ -441,7 +456,7 @@ def build_parser():
     add("classify", _cmd_classify, "four-way point classification", point=True)
     add("order", _cmd_order, "order vector of a complement point", point=True)
     add("lopsided", _cmd_lopsided, "dominant-term complement certificate",
-        point=True, tols=False)
+        point=True)
     add("fiber", _cmd_fiber, "all fiber torus solutions over a point", point=True)
     add("contour", _cmd_contour, "trace and classify the contour",
         slices=True, outputs=True)
@@ -457,7 +472,7 @@ def build_parser():
         "--linear", required=True,
         help="coefficient matrix, rows split by ';', entries by ','",
     )
-    basis.add_argument("--samples", type=int, default=10000)
+    basis.add_argument("--samples", type=_positive_int, default=10000)
     basis.add_argument("--box", type=_positive_float, default=2.0)
     basis.set_defaults(func=_cmd_basis)
     return top

@@ -22,15 +22,12 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateSlice, IdenticallyZero
-from .fiber import _dense, _eval_bi, _score, classify
+from .fiber import CRITICAL_TOL, RESIDUAL_REL, _dense, _eval_bi, _score, classify
 from .laurent import log_gauss_numerator, monomial_clear
 from .numeric import UniPoly, roots, sylvester_resultant
 
 # moduli below this cutoff are elimination artifacts, not torus points
 TORUS_CUTOFF = 1e-9
-
-# accepted witnesses satisfy both |g| and |h| below this times the term sum
-RESIDUAL_REL = 1e-7
 
 
 class SkippedSlices(UserWarning):
@@ -43,8 +40,8 @@ class ContourPoint:
     ``w`` is the log-image, ``s_param`` the sweep angle theta in [0, pi)
     encoding the projective Gauss direction (cos theta : sin theta), and
     ``source_z`` a witness on the variety: |f(source_z)| and the Gauss
-    combination at source_z both vanish to 1e-7 relative accuracy, and
-    w = Log|source_z|.
+    combination at source_z both vanish to RESIDUAL_REL (1e-7) relative
+    accuracy, and w = Log|source_z|.
     """
 
     __slots__ = ("w", "s_param", "source_z")
@@ -216,11 +213,12 @@ def contour_slice(f, theta):
         hval = _eval_bi(hb, z1, z2)[0]
         sg, sgg1, sgg2 = _abs_at(gb, z1, z2)
         sh = _abs_at(hb, z1, z2)[0]
+        # both |g| and |h| must pass the fiber solver's residual rule
         if not (abs(gval) <= RESIDUAL_REL * sg and abs(hval) <= RESIDUAL_REL * sh):
             continue  # also rejects non-finite values from runaway candidates
         # witnesses must be critical: real Gauss image or a singular point
         if abs(gg1) >= 1e-13 * sgg1 or abs(gg2) >= 1e-13 * sgg2:
-            if _score(gg1, gg2) >= 1e-6:
+            if _score(gg1, gg2) >= CRITICAL_TOL:
                 continue
         resid = abs(gval) / max(sg, 1e-300) + abs(hval) / max(sh, 1e-300)
         for item in kept:
@@ -280,7 +278,7 @@ def trace_contour(f, n_slices):
     return sorted(seen.values(), key=lambda p: (p.w, p.s_param))
 
 
-def classify_contour(f, points, critical_tol=1e-6):
+def classify_contour(f, points):
     """Split traced contour points into boundary and inner contour.
 
     Each point's log-image goes through the fiber classifier.  Boundary
@@ -296,7 +294,7 @@ def classify_contour(f, points, critical_tol=1e-6):
     """
     out = {"boundary": [], "inner": [], "degenerate": []}
     for p in points:
-        pc = classify(f, p.w, critical_tol=critical_tol)
+        pc = classify(f, p.w)
         if pc.tag == "Boundary":
             out["boundary"].append((p, pc))
         elif pc.tag == "Degenerate":

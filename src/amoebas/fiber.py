@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 
 from .errors import DegenerateFiber, IdenticallyZero, InconsistentOrder
-from .laurent import _term_log_moduli, fiber_restrict, log_gauss_numerator, monomial_clear
+from .laurent import _term_log_moduli, fiber_restrict, monomial_clear
 from .numeric import UniPoly, roots, sylvester_resultant
 
 FIBER_TAGS = ("Complement", "Interior", "ContourInterior", "Boundary", "Degenerate")
@@ -27,9 +26,28 @@ FIBER_TAGS = ("Complement", "Interior", "ContourInterior", "Boundary", "Degenera
 # angular gap (mod pi) above which two Gauss directions count as distinct
 DIRECTION_TOL = 1e-4
 
+# A point solves f = 0 when |f| is at most this times the sum of the term
+# moduli there.  The contour tracer applies it to the term sum at its
+# witness; the fiber solver to the coefficient sum of the restriction,
+# which is the same number, since every term has modulus |b_alpha| on the
+# fiber torus (|t_j| = 1).
+RESIDUAL_REL = 1e-7
 
-class BothGaussComponentsZero(UserWarning):
-    """Both logarithmic-Gauss numerators vanished at the queried point."""
+# a solution is critical when its Gauss criticality score is below this
+CRITICAL_TOL = 1e-6
+
+# ||t| - 1| pre-filter band on resultant roots, wide enough for the scatter
+# of multiple roots; the polished residual makes the actual decision
+UNIT_BAND = 0.02
+
+# a root of a univariate restriction this close to |t| = 1 is a full circle
+UNIT_ROOT_TOL = 1e-6
+
+# resultant clusters near |t| = 1 closer than this (relative) are merged
+MERGE_RADIUS = 3e-3
+
+# polished torus points closer than this in phase are one solution
+GROUP_RADIUS = 1e-5
 
 
 class FiberSolution:
@@ -104,10 +122,8 @@ def _eval_bi(b, z1, z2):
     return complex(val), complex(gam1), complex(gam2)
 
 
-def _polish_phi(gb, phi, steps=10, scale=None):
+def _polish_phi(gb, phi, scale, steps=10):
     """Newton steps on (Re g, Im g)(phi) staying exactly on the torus."""
-    if scale is None:
-        scale = float(np.sum(np.abs(gb)))
     p1, p2 = phi
     val = None
     for _ in range(steps):
@@ -166,14 +182,14 @@ def _direction(g1, g2):
 # the fiber solver
 # --------------------------------------------------------------------------
 
-def _univariate_fiber(g, axis, unit_tol):
+def _univariate_fiber(g, axis):
     """Handle restrictions that involve only one torus variable."""
     d = g.degree_span(axis)[1]
     coeffs = np.zeros(d + 1, dtype=complex)
     for alpha, c in g.terms.items():
         coeffs[alpha[axis]] += c
     for cl in roots(UniPoly(coeffs)):
-        if abs(abs(cl.center) - 1.0) < unit_tol:
+        if abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL:
             raise DegenerateFiber(
                 "restriction is univariate with a unit root: the fiber meets "
                 "the variety in full circles"
@@ -181,7 +197,7 @@ def _univariate_fiber(g, axis, unit_tol):
     return []
 
 
-def _merge_near_unit(clusters, radius=3e-3):
+def _merge_near_unit(clusters):
     """Coalesce resultant root clusters scattered by a multiple root.
 
     A root of multiplicity m recovered from coefficients with relative
@@ -205,7 +221,7 @@ def _merge_near_unit(clusters, radius=3e-3):
         merged = []
         for c, m in items:
             for slot in merged:
-                if abs(c - slot[0]) <= radius * max(1.0, abs(slot[0])):
+                if abs(c - slot[0]) <= MERGE_RADIUS * max(1.0, abs(slot[0])):
                     tot = slot[1] + m
                     slot[0] = (slot[0] * slot[1] + c * m) / tot
                     slot[1] = tot
@@ -217,7 +233,7 @@ def _merge_near_unit(clusters, radius=3e-3):
     return [(c, m) for c, m in items] + out
 
 
-def _solve_fiber(f, w, unit_tol=1e-6, critical_tol=1e-6):
+def _solve_fiber(f, w):
     """Core solver; returns (solutions, gauss_pairs) sorted by phi."""
     if f.nvars != 2:
         raise ValueError("fiber solving is implemented for two variables")
@@ -233,9 +249,9 @@ def _solve_fiber(f, w, unit_tol=1e-6, critical_tol=1e-6):
         # restriction collapsed to a nonzero constant
         return [], []
     if d2 == 0:
-        return _univariate_fiber(g, 0, unit_tol), []
+        return _univariate_fiber(g, 0), []
     if d1 == 0:
-        return _univariate_fiber(g, 1, unit_tol), []
+        return _univariate_fiber(g, 1), []
 
     gb = _dense(g)
     gsb = np.conj(gb)[::-1, ::-1]
@@ -250,26 +266,22 @@ def _solve_fiber(f, w, unit_tol=1e-6, critical_tol=1e-6):
     except IdenticallyZero as exc:
         raise DegenerateFiber("fiber shares a component with the variety") from exc
 
-    # The unit-circle filter is only a pre-filter: the band is kept wide
-    # enough that multiple-root scatter cannot push a true solution out,
-    # and the polished residual on the torus makes the actual decision.
-    band = max(0.02, unit_tol)
     tau = 2.0 * math.pi
     clusters = _merge_near_unit(roots(res))
     cands = []  # (phi, score, g1, g2, cluster_id)
     for ci, (t1, _) in enumerate(clusters):
-        if not (abs(abs(t1) - 1.0) <= band):  # also drops non-finite centers
+        if not (abs(abs(t1) - 1.0) <= UNIT_BAND):  # also drops non-finite centers
             continue
         # back-substitute: univariate slice in t2
         slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
         if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum:
             raise DegenerateFiber("slice of the restriction vanished identically")
         for c2 in roots(UniPoly(slice_c)):
-            if not (abs(abs(c2.center) - 1.0) <= band):
+            if not (abs(abs(c2.center) - 1.0) <= UNIT_BAND):
                 continue
             phi0 = (cmath.phase(t1) % tau, cmath.phase(c2.center) % tau)
-            phi, val, g1, g2 = _polish_phi(gb, phi0, scale=coeff_sum)
-            if not (abs(val) <= 1e-7 * coeff_sum):
+            phi, val, g1, g2 = _polish_phi(gb, phi0, coeff_sum)
+            if not (abs(val) <= RESIDUAL_REL * coeff_sum):
                 continue
             cands.append((phi, _score(g1, g2), g1, g2, ci))
 
@@ -280,7 +292,7 @@ def _solve_fiber(f, w, unit_tol=1e-6, critical_tol=1e-6):
         for grp in groups:
             da = min(abs(phi[0] - grp[0][0]), tau - abs(phi[0] - grp[0][0]))
             db = min(abs(phi[1] - grp[0][1]), tau - abs(phi[1] - grp[0][1]))
-            if math.hypot(da, db) < 1e-5:
+            if math.hypot(da, db) < GROUP_RADIUS:
                 if score < grp[1]:
                     grp[0], grp[1], grp[2], grp[3] = phi, score, g1, g2
                 grp[4].add(ci)
@@ -307,86 +319,45 @@ def _solve_fiber(f, w, unit_tol=1e-6, critical_tol=1e-6):
     gauss = []
     for i in sorted(range(len(groups)), key=lambda k: groups[k][0]):
         phi, score, g1, g2, _ = groups[i]
-        critical = mults[i] >= 2 or score < critical_tol
+        critical = mults[i] >= 2 or score < CRITICAL_TOL
         sols.append(FiberSolution(phi, mults[i], critical, score))
         gauss.append((g1, g2))
     return sols, gauss
 
 
-def fiber_solutions(f, w, unit_tol=1e-6, critical_tol=1e-6):
+def fiber_solutions(f, w):
     """All intersections of V(f) with the fiber torus over w (n = 2).
+
+    Candidates are resultant roots within UNIT_BAND of |t| = 1, polished
+    on the torus and kept when |g| <= RESIDUAL_REL x (coefficient sum).  A
+    solution is critical when it is a multiple point or its Gauss score is
+    below CRITICAL_TOL.
 
     Parameters
     ----------
     f : LaurentPoly
         Two variables, at least two terms.
     w : pair of float
-    unit_tol : float
-        Lower bound for the ||t| - 1| pre-filter band on resultant roots
-        (the band never shrinks below 0.02, which covers the scatter of
-        multiple roots); every surviving candidate is Newton-polished on
-        the torus and must then pass |g| <= 1e-7 x (coefficient sum),
-        which is what actually decides membership.
-    critical_tol : float
-        Tolerance on the Gauss criticality score.
 
     Returns
     -------
     list of FiberSolution
         Sorted lexicographically by phi.  Empty exactly when w lies in the
-        amoeba complement (up to the stated tolerances).
+        amoeba complement (up to the thresholds above).
 
     Raises
     ------
     DegenerateFiber
         If the intersection is not a finite point set.
     """
-    sols, _ = _solve_fiber(f, w, unit_tol=unit_tol, critical_tol=critical_tol)
+    sols, _ = _solve_fiber(f, w)
     return sols
 
 
-def is_critical(f, z, tol=1e-6):
-    """Test whether z maps into real projective space under the Gauss map.
-
-    Returns
-    -------
-    (bool, float)
-        The flag and the score |Im(gamma1 conj gamma2)| / max(|gamma1 gamma2|, floor)
-        with gamma_j = z_j df/dz_j(z).  When both numerators vanish the
-        Gauss image is undefined; a ``BothGaussComponentsZero`` warning is
-        emitted and the point is reported critical with score 0.
-    """
-    if f.nvars != 2:
-        raise ValueError("criticality test is implemented for two variables")
-    num0 = log_gauss_numerator(f, 0)
-    num1 = log_gauss_numerator(f, 1)
-    g1 = num0(z)
-    g2 = num1(z)
-
-    def abs_eval(p):
-        zz = [abs(complex(v)) for v in z]
-        return math.fsum(
-            abs(b) * math.prod(v**a for v, a in zip(zz, alpha))
-            for alpha, b in p.terms.items()
-        )
-
-    floor1 = 1e-13 * abs_eval(num0)
-    floor2 = 1e-13 * abs_eval(num1)
-    if abs(g1) < floor1 and abs(g2) < floor2:
-        warnings.warn(
-            "both Gauss numerators vanish at this point",
-            BothGaussComponentsZero,
-            stacklevel=2,
-        )
-        return True, 0.0
-    score = _score(g1, g2)
-    return score < tol, score
-
-
-def classify(f, w, critical_tol=1e-6, unit_tol=1e-6):
+def classify(f, w):
     """Classify w against the amoeba of f (n = 2).
 
-    Returns a PointClass with tag
+    Same fiber solve as ``fiber_solutions``; returns a PointClass with tag
 
     - ``Complement``        no fiber solution;
     - ``Interior``          solutions exist, none critical;
@@ -398,7 +369,7 @@ def classify(f, w, critical_tol=1e-6, unit_tol=1e-6):
     - ``Degenerate``        the fiber intersection is not finite.
     """
     try:
-        sols, gauss = _solve_fiber(f, w, unit_tol=unit_tol, critical_tol=critical_tol)
+        sols, gauss = _solve_fiber(f, w)
     except DegenerateFiber:
         return PointClass("Degenerate")
     if not sols:
@@ -422,14 +393,17 @@ def classify(f, w, critical_tol=1e-6, unit_tol=1e-6):
 
 _ORDER_SEED = 20260815
 
+# angle draws per order entry; all of them must give the same winding count
+_ORDER_SAMPLES = 3
 
-def order(f, w, samples=3):
+
+def order(f, w):
     """Order vector of the complement component containing w.
 
     The j-th entry is the winding number of the slice u -> f(z) with
     z_j = u and the other coordinates frozen on their circles, i.e. the
     number of zeros inside |u| < e^{w_j} minus the pole order at the
-    origin.  Each entry is recomputed at ``samples`` angle draws (fixed
+    origin.  Each entry is recomputed at _ORDER_SAMPLES angle draws (fixed
     seed, so the result is deterministic) and must agree.
 
     Raises
@@ -451,7 +425,7 @@ def order(f, w, samples=3):
         logs = _term_log_moduli(items, [0.0 if k == j else w[k] for k in range(n)])
         cap = max(logs)
         seen = set()
-        for _ in range(samples):
+        for _ in range(_ORDER_SAMPLES):
             theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
             slice_terms = {}
             for (alpha, b), m in zip(items, logs):

@@ -3,9 +3,9 @@
 A Laurent polynomial f(z) = sum_alpha b_alpha z^alpha in n variables is
 stored as a dictionary from integer exponent vectors to complex
 coefficients.  The module keeps the algebra deliberately small: evaluate,
-differentiate, build the logarithmic-Gauss numerators z_j df/dz_j, take
-the term log-moduli log|b_alpha| + <alpha, w> that term dominance and the
-fiber restriction over a log-point w are read from, and take the Newton
+build the logarithmic-Gauss numerators z_j df/dz_j, take the term
+log-moduli log|b_alpha| + <alpha, w> that term dominance and the fiber
+restriction over a log-point w are read from, and take the Newton
 polytope.
 
 >>> f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
@@ -145,11 +145,6 @@ class LaurentPoly:
 
     # -- convenience -------------------------------------------------------
 
-    @property
-    def support(self):
-        """Sorted tuple of exponent vectors with nonzero coefficient."""
-        return tuple(sorted(self.terms))
-
     def degree_span(self, j):
         """(min, max) exponent of variable j over the support; (0, 0) if absent."""
         if not self.terms:
@@ -231,20 +226,6 @@ def evaluate(f, z):
         comp = (t - s) - y
         s = t
     return s
-
-
-def partial(f, j):
-    """Partial derivative df/dz_j as a LaurentPoly (may have negative exponents)."""
-    if not 0 <= j < f.nvars:
-        raise ValueError(f"variable index {j} out of range")
-    out = {}
-    for alpha, b in f.terms.items():
-        if alpha[j] == 0:
-            continue
-        shifted = list(alpha)
-        shifted[j] -= 1
-        out[tuple(shifted)] = b * alpha[j]
-    return LaurentPoly(f.nvars, out)
 
 
 def log_gauss_numerator(f, j):

@@ -2,10 +2,8 @@
 
 Univariate dense polynomials over C, a simultaneous (Aberth-Ehrlich) root
 finder with cluster-based multiplicities, a partial-pivot LU linear solve,
-the Sylvester resultant of two bivariate polynomials computed by
-evaluation and interpolation on a circle of nodes, and the
-conjugate-reciprocal transform that mirrors a polynomial across the unit
-torus.
+and the Sylvester resultant of two bivariate polynomials computed by
+evaluation and interpolation on a circle of nodes.
 """
 
 from __future__ import annotations
@@ -13,12 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IdenticallyZero, SingularMatrix
-from .laurent import LaurentPoly
 
 EPS = 2.0**-53
 
 # leading coefficients at or below this (relative) size are trimmed
 TRIM_REL = 1e-13
+
+# Aberth-Ehrlich sweeps before the remaining roots count as unconverged
+ABERTH_SWEEPS = 500
 
 
 def _horner(c, x):
@@ -60,12 +60,6 @@ class UniPoly:
     def __call__(self, x):
         out = _horner(self.coeffs, x)
         return complex(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-    def derivative(self):
-        if self.degree == 0:
-            return UniPoly([0.0])
-        d = self.coeffs[1:] * np.arange(1, self.coeffs.size)
-        return UniPoly(d)
 
     def __repr__(self):
         return f"UniPoly({np.array2string(self.coeffs, separator=', ')})"
@@ -122,7 +116,7 @@ def _initial_guesses(c):
     return out
 
 
-def _aberth(c, max_iter):
+def _aberth(c):
     """Run Aberth-Ehrlich on ascending coefficients c (c[0], c[-1] nonzero)."""
     d = c.size - 1
     dc = c[1:] * np.arange(1, d + 1)
@@ -130,7 +124,7 @@ def _aberth(c, max_iter):
     noise = np.abs(c) * (4.0 * np.arange(d + 1) + 1.0)
     z = _initial_guesses(c)
     converged = np.zeros(d, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_SWEEPS):
         active = ~converged
         if not active.any():
             break
@@ -183,7 +177,7 @@ def _inclusion_radii(c, z):
     return np.minimum(r, 0.05 * (1.0 + np.abs(z)))
 
 
-def _cluster_points(z, flags, incl=None):
+def _cluster_points(z, flags, incl):
     """Single-linkage clustering of computed roots.
 
     Two roots join when they sit within the baseline radius
@@ -202,8 +196,7 @@ def _cluster_points(z, flags, incl=None):
     for i in range(n):
         for j in range(i + 1, n):
             r = max(1e-8, 1e-6 * max(abs(z[i]), abs(z[j])))
-            if incl is not None:
-                r = max(r, 2.0 * (incl[i] + incl[j]))
+            r = max(r, 2.0 * (incl[i] + incl[j]))
             if abs(z[i] - z[j]) <= r:
                 pi, pj = find(i), find(j)
                 if pi != pj:
@@ -221,14 +214,12 @@ def _cluster_points(z, flags, incl=None):
     return clusters
 
 
-def roots(p, max_iter=500):
+def roots(p):
     """All complex roots of p, clustered into multiplicities.
 
     Parameters
     ----------
     p : UniPoly or 1-d coefficient sequence (ascending)
-    max_iter : int
-        Iteration cap for the Aberth-Ehrlich sweep.
 
     Returns
     -------
@@ -236,8 +227,8 @@ def roots(p, max_iter=500):
         Sorted by (real, imag) of the center.  Cluster sizes sum to the
         trimmed degree.  Iteration stops per root once the correction
         drops below 1e-12 (1 + |root|) or the residual falls under the
-        running round-off bound; roots still live at the cap are returned
-        with ``converged=False``.
+        running round-off bound; roots still live after ABERTH_SWEEPS
+        Aberth-Ehrlich sweeps are returned with ``converged=False``.
 
     Raises
     ------
@@ -261,7 +252,7 @@ def roots(p, max_iter=500):
     if at_zero:
         clusters.append(RootCluster(0j, at_zero, 0.0, True))
     if c.size > 1:
-        z, flags = _aberth(c, max_iter)
+        z, flags = _aberth(c)
         clusters.extend(_cluster_points(z, flags, _inclusion_radii(c, z)))
     clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
     return clusters
@@ -318,50 +309,6 @@ def solve_linear(a, b):
         x[k] /= lu[k, k]
         x[:k] -= np.multiply.outer(lu[:k, k], x[k])
     return x
-
-
-# --------------------------------------------------------------------------
-# conjugate-reciprocal transform
-# --------------------------------------------------------------------------
-
-def conj_reciprocal(g, d):
-    """Mirror g across the unit torus: g*(t) = t^d conj(g)(1/t).
-
-    Coefficient at exponent beta moves to d - beta and is conjugated.  On
-    the unit torus |g*(t)| = |g(t)|, so g and g* share exactly the torus
-    part of their root sets.  ``d`` must dominate the degree of g
-    componentwise; applying the transform twice with the same d gives g
-    back coefficient-exactly.
-
-    Parameters
-    ----------
-    g : UniPoly or LaurentPoly
-    d : int (UniPoly) or exponent tuple (LaurentPoly)
-
-    Returns
-    -------
-    Same kind as g.
-    """
-    if isinstance(g, UniPoly):
-        d = int(d)
-        if d < g.degree:
-            raise ValueError("degree vector must dominate deg(g)")
-        out = np.zeros(d + 1, dtype=complex)
-        out[d - np.arange(g.coeffs.size)] = np.conj(g.coeffs)
-        return UniPoly(out)
-    if isinstance(g, LaurentPoly):
-        d = tuple(int(v) for v in d)
-        if len(d) != g.nvars:
-            raise ValueError("degree vector has wrong arity")
-        for alpha in g.terms:
-            if any(dj < aj for dj, aj in zip(d, alpha)):
-                raise ValueError("degree vector must dominate the support")
-        out = {
-            tuple(dj - aj for dj, aj in zip(d, alpha)): np.conj(b)
-            for alpha, b in g.terms.items()
-        }
-        return LaurentPoly(g.nvars, out)
-    raise TypeError("expected UniPoly or LaurentPoly")
 
 
 # --------------------------------------------------------------------------

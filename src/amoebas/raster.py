@@ -74,10 +74,10 @@ def _thread_count():
 
 def _grid_chunk(args):
     """Classify a chunk of cell centers (top level so pools can pickle it)."""
-    f, chunk, critical_tol, unit_tol = args
+    f, chunk = args
     out = []
     for wx, wy in chunk:
-        pc = classify(f, (wx, wy), critical_tol=critical_tol, unit_tol=unit_tol)
+        pc = classify(f, (wx, wy))
         if pc.tag == "Degenerate":
             out.append((SENTINEL, "Degenerate"))
         else:
@@ -85,7 +85,7 @@ def _grid_chunk(args):
     return out
 
 
-def amoeba_grids(f, window, resolution, critical_tol=1e-6, unit_tol=1e-6):
+def amoeba_grids(f, window, resolution):
     """One classification pass, two rasters.
 
     Returns (betti, tags): the Betti raster counts distinct fiber
@@ -107,13 +107,13 @@ def amoeba_grids(f, window, resolution, critical_tol=1e-6, unit_tol=1e-6):
 
         step = max(1, len(points) // (4 * threads))
         chunks = [points[k:k + step] for k in range(0, len(points), step)]
-        jobs = [(f, chunk, critical_tol, unit_tol) for chunk in chunks]
+        jobs = [(f, chunk) for chunk in chunks]
         values = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_grid_chunk, jobs):
                 values.extend(part)
     else:
-        values = _grid_chunk((f, points, critical_tol, unit_tol))
+        values = _grid_chunk((f, points))
 
     betti = np.empty((nx, ny), dtype=int)
     tags = np.empty((nx, ny), dtype="<U15")
@@ -125,27 +125,6 @@ def amoeba_grids(f, window, resolution, critical_tol=1e-6, unit_tol=1e-6):
         Raster(window, resolution, betti),
         Raster(window, resolution, tags),
     )
-
-
-def lopsided_grid(f, window, resolution):
-    """Raster of dominant-term certificates (True where some term dominates).
-
-    Cheap complement detector: every True cell is certified outside the
-    amoeba without any root finding.
-    """
-    from .fiber import lopsided
-
-    if f.nvars != 2:
-        raise ValueError("rasters are implemented for two variables")
-    probe = Raster(window, resolution, np.zeros(
-        (int(resolution[0]), int(resolution[1])), dtype=bool))
-    xs, ys = probe.centers()
-    nx, ny = probe.resolution
-    cells = np.zeros((nx, ny), dtype=bool)
-    for i in range(nx):
-        for j in range(ny):
-            cells[i, j] = lopsided(f, (float(xs[i]), float(ys[j]))) is not None
-    return Raster(window, resolution, cells)
 
 
 def cell_walls(r):

@@ -138,11 +138,22 @@ def test_degenerate_fiber_is_exit_3(capsys):
         (("member", "--poly", CUBIC, "--point", "0,0,0"), 2),
         (("fiber", "--poly", CUBIC, "--point", "0,0,0"), 2),
         (("classify", "--poly", "z1", "--point", "0,0"), 3),
+        (("classify", "--poly", "0", "--point", "0,0"), 3),
+        (("contour", "--poly", CUBIC, "--slices", "0"), 2),
+        (("boundary", "--poly", CUBIC, "--slices", "0"), 2),
+        (("basis", "--linear", "1,2;3,4", "--samples", "-1"), 2),
     ],
-    ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial"],
+    ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
+         "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, argv, expected):
-    code, out, err = run(capsys, *argv)
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:
+        # argparse rejects an out-of-range option value before any handler
+        # runs; its last stderr line is "amoeba <cmd>: error: ..."
+        code, (out, err) = exc.code, capsys.readouterr()
+        err = err.splitlines()[-1].replace(f"amoeba {argv[0]}: ", "", 1)
     assert code == expected
     assert out == ""
     assert err.startswith("error: ")
@@ -280,6 +291,24 @@ def test_missing_output_path_is_exit_2(capsys):
     )
     assert code == 2
     assert "--output" in err
+
+
+@pytest.mark.parametrize("cmd, name", [
+    ("betti", "x.ppm"), ("raster", "x.svg"), ("contour", "x.csv"), ("boundary", "x.csv"),
+])
+@pytest.mark.parametrize("where", ["missing-folder", "a-folder"])
+def test_unwritable_output_fails_before_computing(capsys, monkeypatch, tmp_path, cmd, name,
+                                                  where):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before checking --output")
+
+    monkeypatch.setattr("amoebas.cli.amoeba_grids", fail)
+    monkeypatch.setattr("amoebas.cli.trace_contour", fail)
+    path = str(tmp_path / "missing" / name) if where == "missing-folder" else str(tmp_path)
+    code, out, err = run(capsys, cmd, "--poly", CUBIC13, "--output", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --output {path}\n"
 
 
 def test_window_option_accepts_leading_minus(capsys, tmp_path):

@@ -15,14 +15,13 @@ from amoebas import (
     classify,
     evaluate,
     fiber_solutions,
-    is_critical,
     log_gauss_numerator,
     lopsided,
     monomial_clear,
     order,
     parse_poly,
 )
-from amoebas.fiber import BothGaussComponentsZero, _dense, _eval_bi, _solve_fiber
+from amoebas.fiber import CRITICAL_TOL, _dense, _eval_bi, _score, _solve_fiber
 
 from oracles import brute_member, eval_at_phases
 
@@ -241,30 +240,25 @@ def test_monomial_rejected():
 # criticality
 # --------------------------------------------------------------------------
 
-def test_is_critical_real_point_of_cubic():
-    f = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
-    flag, score = is_critical(f, (1.0, -1.0))
-    assert flag
-    assert score < 1e-12
+# a non-real point of 1 + z1 + z2: z1 = 0.8 e^{i}, z2 = -1 - z1
+GENERIC_Z1 = 0.8 * complex(math.cos(1.0), math.sin(1.0))
 
 
-def test_is_critical_generic_point_is_not():
-    f = parse_poly("1 + z1 + z2", 2)
-    # a non-real variety point: z1 = e^{i pi/3} 0.8, z2 = -1 - z1
-    z1 = 0.8 * complex(math.cos(1.0), math.sin(1.0))
-    z2 = -1.0 - z1
-    flag, score = is_critical(f, (z1, z2))
-    assert not flag
-    assert score > 1e-3
-
-
-def test_is_critical_warns_when_gauss_undefined():
-    # (z1 + z2)^2 has a singular variety point at (1, -1)
-    f = parse_poly("z1^2 + 2*z1*z2 + z2^2", 2)
-    with pytest.warns(BothGaussComponentsZero):
-        flag, score = is_critical(f, (1.0, -1.0))
-    assert flag
-    assert score == 0.0
+@pytest.mark.parametrize(
+    "text, z, critical, check",
+    [
+        ("z1^3 + z2^3 + z1*z2 + 1", (1.0, -1.0), True, lambda s: s < 1e-12),
+        ("1 + z1 + z2", (GENERIC_Z1, -1.0 - GENERIC_Z1), False, lambda s: s > 1e-3),
+        # (z1 + z2)^2 has a singular variety point at (1, -1)
+        ("z1^2 + 2*z1*z2 + z2^2", (1.0, -1.0), True, lambda s: s == 0.0),
+    ],
+    ids=["real-point-of-cubic", "generic-point-is-not", "singular-point-scores-zero"],
+)
+def test_criticality_score(text, z, critical, check):
+    _, g1, g2 = _eval_bi(_dense(parse_poly(text, 2)), *z)
+    score = _score(g1, g2)
+    assert (score < CRITICAL_TOL) == critical
+    assert check(score)
 
 
 # --------------------------------------------------------------------------

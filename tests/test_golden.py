@@ -1,0 +1,98 @@
+"""The README's command-line examples against recorded outputs, byte for byte.
+
+Each case runs ``amoeba`` in-process, with the contour and raster examples
+at reduced size, and compares its exit code, its stdout and every file it
+writes with the recording under ``tests/golden/``.  To re-record after an
+intended change of output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review ``git diff tests/golden``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from amoebas.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CUBIC = "z1^3 + z2^3 + z1*z2 + 1"
+CUBIC13 = "z1^3 + z2^3 + 1.3*z1*z2 + 1"
+HARNACK = "z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1"
+
+# name -> (argv, files the command writes)
+CASES = {
+    "member": (["member", "--poly", CUBIC, "--point", "0,0"], []),
+    "classify": (["classify", "--poly", CUBIC13, "--point", "0,0"], []),
+    "order": (["order", "--poly", CUBIC13, "--point", "0,0"], []),
+    "lopsided": (["lopsided", "--poly", "1 + 2*z1 + 3*z2", "--point", "10,0"], []),
+    "fiber": (["fiber", "--poly", CUBIC, "--point", "0,0"], []),
+    "contour": (["contour", "--poly", HARNACK, "--slices", "90"], []),
+    "boundary": (
+        ["boundary", "--poly", CUBIC, "--slices", "90", "--output", "b.csv"],
+        ["b.csv"],
+    ),
+    "betti": (
+        ["betti", "--poly", HARNACK, "--window", "-2,-2,2,2", "--res", "21,21",
+         "--output", "betti.ppm"],
+        ["betti.ppm"],
+    ),
+    "raster": (
+        ["raster", "--poly", CUBIC, "--res", "21,21", "--output", "tags.svg"],
+        ["tags.svg"],
+    ),
+    "basis": (["basis", "--linear", "0.5,0.5;2,-1"], []),
+}
+
+
+def run_case(name, workdir):
+    """(exit code, stdout bytes, {file name: bytes}) of one case run in workdir."""
+    argv, files = CASES[name]
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    written = {f: (Path(workdir) / f).read_bytes() for f in files}
+    return code, out.getvalue().encode("utf-8"), written
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_readme_example_matches_recording(tmp_path, name):
+    code, stdout, written = run_case(name, tmp_path)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == codes[name]
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    for fname, data in written.items():
+        assert data == (GOLDEN / f"{name}.{fname}").read_bytes(), fname
+
+
+def record():
+    """Rewrite every file under tests/golden from the current source tree."""
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as workdir:
+            code, stdout, written = run_case(name, workdir)
+        codes[name] = code
+        (GOLDEN / f"{name}.stdout").write_bytes(stdout)
+        for fname, data in written.items():
+            (GOLDEN / f"{name}.{fname}").write_bytes(data)
+        print(f"{name}: exit {code}, {len(stdout)} stdout bytes, files {sorted(written)}",
+              file=sys.stderr)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record()

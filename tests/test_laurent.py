@@ -14,7 +14,6 @@ from amoebas import (
     log_gauss_numerator,
     monomial_clear,
     newton_polytope,
-    partial,
 )
 
 
@@ -50,13 +49,6 @@ def test_evaluate_order_independence():
     f2 = LaurentPoly(2, dict(reversed(items)))
     z = (1.0000001, 0.9999999)
     assert evaluate(f1, z) == evaluate(f2, z)
-
-
-def test_partial_product_rule_spot_check():
-    # d/dz1 (z1^2 z2 - 3 z1^-1) = 2 z1 z2 + 3 z1^-2
-    f = LaurentPoly(2, {(2, 1): 1.0, (-1, 0): -3.0})
-    df = partial(f, 0)
-    assert dict(df.terms) == {(1, 1): 2 + 0j, (-2, 0): 3 + 0j}
 
 
 def test_log_gauss_numerator_keeps_exponent():

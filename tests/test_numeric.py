@@ -1,4 +1,4 @@
-"""Root finder, linear algebra, mirror transform, Sylvester resultant.
+"""Root finder, linear algebra, Sylvester resultant.
 
 The oracles here are deliberately independent of the kernel: numpy's
 companion-matrix roots, numpy's dense solve, Vieta sums, and a
@@ -17,7 +17,6 @@ from amoebas import (
     RootCluster,
     SingularMatrix,
     UniPoly,
-    conj_reciprocal,
     roots,
     solve_linear,
     sylvester_resultant,
@@ -236,42 +235,6 @@ def test_solve_linear_singular_calls_match_scipy():
         assert singular == expected, a
         calls.append(singular)
     assert 0 < sum(calls) < len(calls)
-
-
-# --------------------------------------------------------------------------
-# conjugate-reciprocal mirror
-# --------------------------------------------------------------------------
-
-def test_conj_reciprocal_univariate():
-    g = UniPoly([1 + 2j, 0.0, 3.0])  # 3 t^2 + (1+2i)
-    gs = conj_reciprocal(g, 2)
-    assert list(gs.coeffs) == [3.0, 0.0, 1 - 2j]
-
-
-def test_conj_reciprocal_involution():
-    rng = random.Random(31)
-    for _ in range(30):
-        d = rng.randint(1, 8)
-        c = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(d + 1)]
-        c[-1] += 1.0
-        g = UniPoly(c)
-        back = conj_reciprocal(conj_reciprocal(g, d), d)
-        assert np.allclose(back.coeffs, g.coeffs, rtol=0, atol=0)
-
-
-def test_conj_reciprocal_equal_modulus_on_circle():
-    rng = random.Random(13)
-    g = UniPoly([1.0, -2j, 0.5 + 0.5j, 3.0])
-    gs = conj_reciprocal(g, 3)
-    for _ in range(50):
-        ang = rng.uniform(0, 2 * np.pi)
-        t = complex(np.cos(ang), np.sin(ang))
-        assert abs(g(t)) == pytest.approx(abs(gs(t)), rel=1e-12)
-
-
-def test_conj_reciprocal_degree_must_dominate():
-    with pytest.raises(ValueError):
-        conj_reciprocal(UniPoly([1.0, 1.0, 1.0]), 1)
 
 
 # --------------------------------------------------------------------------

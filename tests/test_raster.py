@@ -7,7 +7,7 @@ from amoebas import (
     Raster,
     amoeba_grids,
     cell_walls,
-    lopsided_grid,
+    lopsided,
     parse_poly,
 )
 
@@ -81,8 +81,10 @@ def test_degenerate_cells_carry_the_sentinel():
 
 
 def test_lopsided_grid_never_contradicts_membership():
-    lop = lopsided_grid(CUBIC13, WINDOW, (9, 9))
     betti = amoeba_grids(CUBIC13, WINDOW, (9, 9))[0]
+    xs, ys = betti.centers()
+    lop = Raster(WINDOW, (9, 9), np.array(
+        [[lopsided(CUBIC13, (float(x), float(y))) is not None for y in ys] for x in xs]))
     assert lop.cells.dtype == bool
     assert np.all(betti.cells[lop.cells] == 0)
     assert lop.cells.any()
