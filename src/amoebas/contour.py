@@ -22,12 +22,17 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateSlice, IdenticallyZero
-from .fiber import CRITICAL_TOL, RESIDUAL_REL, _dense, _eval_bi, _score, classify
+from .fiber import CRITICAL_TOL, RESIDUAL_REL, _classify_points, _dense, _eval_bi, _score
 from .laurent import log_gauss_numerator, monomial_clear
-from .numeric import UniPoly, roots, sylvester_resultant
+from .numeric import UniPoly, _roots_batch, sylvester_resultant
+from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
 # moduli below this cutoff are elimination artifacts, not torus points
 TORUS_CUTOFF = 1e-9
+
+# slices per staged sweep in trace_contour, which bounds the intermediate
+# data held at once; the points do not depend on it
+_BATCH_SLICES = 256
 
 
 class SkippedSlices(UserWarning):
@@ -106,78 +111,12 @@ def _vertical_guard(gb, t1, slice_c):
         )
 
 
-def _direct_candidates(gb, hb):
-    """Candidate pairs when the Gauss combination lost its z2 dependence."""
-    pairs = []
-    for cl in roots(UniPoly(hb[:, 0])):
-        t1 = cl.center
-        if abs(t1) < TORUS_CUTOFF:
-            continue
-        slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
-        _vertical_guard(gb, t1, slice_c)
-        if gb.shape[1] == 1:
-            # f lost z2 as well: no t2 to solve for, and the guard has
-            # already rejected a shared root, which would carry a full line
-            continue
-        for c2 in roots(UniPoly(slice_c)):
-            if abs(c2.center) >= TORUS_CUTOFF:
-                pairs.append((t1, c2.center))
-    return pairs
+def _eliminate(f, theta):
+    """First stage of a slice: (gb, hb, the t1 polynomial) at angle theta.
 
-
-def _resultant_candidates(gb, hb, theta):
-    """Candidate pairs from Sylvester elimination of z2."""
-    try:
-        res = sylvester_resultant(gb, hb)
-    except IdenticallyZero as exc:
-        raise DegenerateSlice(
-            f"slice at theta={theta:.6f} shares a component with the variety"
-        ) from exc
-    pairs = []
-    for cl in roots(res):
-        t1 = cl.center
-        if abs(t1) < TORUS_CUTOFF:
-            continue
-        slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
-        _vertical_guard(gb, t1, slice_c)
-        for c2 in roots(UniPoly(slice_c)):
-            t2 = c2.center
-            if abs(t2) < TORUS_CUTOFF:
-                continue
-            hval = _eval_bi(hb, t1, t2)[0]
-            if abs(hval) <= 1e-4 * _abs_at(hb, t1, t2)[0]:
-                pairs.append((t1, t2))
-    return pairs
-
-
-def contour_slice(f, theta):
-    """Solve one Gauss-direction slice of the contour.
-
-    Parameters
-    ----------
-    f : LaurentPoly
-        Two variables, at least two terms.
-    theta : float
-        Sweep angle.  The slice system is f = 0 together with
-        sin(theta) z2 d2f - cos(theta) z1 d1f = 0.
-
-    Returns
-    -------
-    list of ContourPoint
-        One entry per solution of the slice system in (C*)^2, sorted by
-        (w, phases).  Coordinates with modulus below 1e-9 count as
-        elimination artifacts and are dropped.
-
-    Raises
-    ------
-    DegenerateSlice
-        When the slice system is not zero-dimensional at this angle.
+    The t1 polynomial is the Sylvester resultant of g and h in z2, or the
+    z2-free h itself when the Gauss combination lost its z2 dependence.
     """
-    if f.nvars != 2:
-        raise ValueError("contour tracing is implemented for two variables")
-    if len(f.terms) < 2:
-        raise ValueError("monomials have empty varieties in the torus")
-    theta = float(theta)
     st, ct = math.sin(theta), math.cos(theta)
     # snap axis directions: cos(pi/2) is 6.1e-17 in floats, which would hide
     # an identically vanishing Gauss combination behind a phantom tiny term
@@ -194,15 +133,53 @@ def contour_slice(f, theta):
     h, _ = monomial_clear(comb)
     gb = _dense(g)
     hb = _dense(h)
-
     if hb.shape[1] == 1:
-        pairs = _direct_candidates(gb, hb)
-    elif gb.shape[1] == 1:
+        return gb, hb, UniPoly(hb[:, 0])
+    if gb.shape[1] == 1:
         # f is free of z2 but the combination is not; cannot happen for a
         # cleared f because then z2 df/dz2 vanishes identically
         raise DegenerateSlice("variety is a union of coordinate lines")
-    else:
-        pairs = _resultant_candidates(gb, hb, theta)
+    try:
+        return gb, hb, sylvester_resultant(gb, hb)
+    except IdenticallyZero as exc:
+        raise DegenerateSlice(
+            f"slice at theta={theta:.6f} shares a component with the variety"
+        ) from exc
+
+
+def _backsub_slices(gb, found):
+    """The (t1, z2-slice of g) pair of each t1 root off the origin."""
+    out = []
+    for cl in found:
+        t1 = cl.center
+        if abs(t1) < TORUS_CUTOFF:
+            continue
+        slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
+        _vertical_guard(gb, t1, slice_c)
+        if gb.shape[1] == 1:
+            # f lost z2 as well: no t2 to solve for, and the guard has
+            # already rejected a shared root, which would carry a full line
+            continue
+        out.append((t1, UniPoly(slice_c)))
+    return out
+
+
+def _points(gb, hb, theta, slices, found):
+    """Polish, deduplicate and sort the witnesses of one slice.
+
+    ``slices`` are the (t1, slice) pairs of ``_backsub_slices`` and
+    ``found`` the root clusters of each slice.
+    """
+    direct = hb.shape[1] == 1
+    pairs = []
+    for (t1, _), roots2 in zip(slices, found):
+        for c2 in roots2:
+            t2 = c2.center
+            if not abs(t2) >= TORUS_CUTOFF:
+                continue
+            # without z2 in h, every slice root solves the system already
+            if direct or abs(_eval_bi(hb, t1, t2)[0]) <= 1e-4 * _abs_at(hb, t1, t2)[0]:
+                pairs.append((t1, t2))
 
     kept = []  # entries [z1, z2, residual]
     for t1, t2 in pairs:
@@ -243,26 +220,95 @@ def contour_slice(f, theta):
     return points
 
 
+def _sweep(f, thetas):
+    """Solve many slices, staged so that the root finder is batched.
+
+    The stages are: Gauss combination and elimination per slice; one
+    batched root finder over all t1 polynomials; per slice, the
+    back-substitution slices; one batched root finder over all of them;
+    per candidate, polishing and deduplication.  Returns one entry per
+    angle: the sorted ContourPoint list of ``contour_slice``, or the
+    DegenerateSlice raised for that slice alone.
+    """
+    if f.nvars != 2:
+        raise ValueError("contour tracing is implemented for two variables")
+    if len(f.terms) < 2:
+        raise ValueError("monomials have empty varieties in the torus")
+    out = []
+    live = []  # (slice index, theta, gb, hb, t1 polynomial)
+    for k, theta in enumerate(thetas):
+        theta = float(theta)
+        out.append([])
+        try:
+            live.append((k, theta, *_eliminate(f, theta)))
+        except DegenerateSlice as exc:
+            out[k] = exc
+
+    staged = []  # (slice index, theta, gb, hb, back-substitution slices)
+    for (k, theta, gb, hb, _), found in zip(live, _roots_batch([it[4] for it in live])):
+        try:
+            staged.append((k, theta, gb, hb, _backsub_slices(gb, found)))
+        except DegenerateSlice as exc:
+            out[k] = exc
+
+    found = iter(_roots_batch([sl[1] for it in staged for sl in it[4]]))
+    for k, theta, gb, hb, slices in staged:
+        out[k] = _points(gb, hb, theta, slices, [next(found) for _ in slices])
+    return out
+
+
+def contour_slice(f, theta):
+    """Solve one Gauss-direction slice of the contour.
+
+    Parameters
+    ----------
+    f : LaurentPoly
+        Two variables, at least two terms.
+    theta : float
+        Sweep angle.  The slice system is f = 0 together with
+        sin(theta) z2 d2f - cos(theta) z1 d1f = 0.
+
+    Returns
+    -------
+    list of ContourPoint
+        One entry per solution of the slice system in (C*)^2, sorted by
+        (w, phases).  Coordinates with modulus below 1e-9 count as
+        elimination artifacts and are dropped.
+
+    Raises
+    ------
+    DegenerateSlice
+        When the slice system is not zero-dimensional at this angle.
+    """
+    out = _sweep(f, [theta])[0]
+    if isinstance(out, DegenerateSlice):
+        raise out
+    return out
+
+
 def trace_contour(f, n_slices):
     """Sweep the Gauss direction over [0, pi) and pool the slices.
 
-    Angles are theta_k = pi k / n_slices for k = 0 .. n_slices - 1.
-    Degenerate slices are skipped and reported once through a
-    SkippedSlices warning.  The pooled cloud is deduplicated on the pair
+    Angles are theta_k = pi k / n_slices for k = 0 .. n_slices - 1,
+    solved in batched sweeps, which give what ``contour_slice`` gives
+    slice by slice.  Degenerate slices are skipped and reported once
+    through a SkippedSlices warning.  The pooled cloud is deduplicated on the pair
     (w rounded to a 1e-9 grid, s_param), so the same log-point is kept
     once per fold direction, and returned sorted by (w, s_param).
     """
     n_slices = int(n_slices)
     if n_slices < 1:
         raise ValueError("need at least one slice")
+    thetas = [math.pi * k / n_slices for k in range(n_slices)]
     points = []
     skipped = []
-    for k in range(n_slices):
-        theta = math.pi * k / n_slices
-        try:
-            points.extend(contour_slice(f, theta))
-        except DegenerateSlice as exc:
-            skipped.append((theta, str(exc)))
+    for lo in range(0, n_slices, _BATCH_SLICES):
+        block = thetas[lo:lo + _BATCH_SLICES]
+        for theta, out in zip(block, _sweep(f, block)):
+            if isinstance(out, DegenerateSlice):
+                skipped.append((theta, str(out)))
+            else:
+                points.extend(out)
     if skipped:
         warnings.warn(
             f"skipped {len(skipped)} of {n_slices} slices; first at "
@@ -281,7 +327,8 @@ def trace_contour(f, n_slices):
 def classify_contour(f, points):
     """Split traced contour points into boundary and inner contour.
 
-    Each point's log-image goes through the fiber classifier.  Boundary
+    The log-images of the points go through batched fiber solves, and
+    each gets the tag a single ``classify`` call gives.  Boundary
     tags, with or without the caveat flag, land under ``"boundary"``;
     degenerate fibers under ``"degenerate"``; everything else under
     ``"inner"``.
@@ -292,9 +339,9 @@ def classify_contour(f, points):
         Keys ``"boundary"``, ``"inner"``, ``"degenerate"``; values are
         lists of (ContourPoint, PointClass) pairs in input order.
     """
+    points = list(points)
     out = {"boundary": [], "inner": [], "degenerate": []}
-    for p in points:
-        pc = classify(f, p.w)
+    for p, pc in zip(points, _classify_points(f, [p.w for p in points])):
         if pc.tag == "Boundary":
             out["boundary"].append((p, pc))
         elif pc.tag == "Degenerate":

@@ -17,9 +17,15 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateFiber, IdenticallyZero, InconsistentOrder
+from .errors import (
+    AmoebaError,
+    DegenerateFiber,
+    IdenticallyZero,
+    InconsistentOrder,
+    NoConvergence,
+)
 from .laurent import _term_log_moduli, fiber_restrict, monomial_clear
-from .numeric import UniPoly, roots, sylvester_resultant
+from .numeric import UniPoly, _roots_batch, roots, sylvester_resultant
 
 FIBER_TAGS = ("Complement", "Interior", "ContourInterior", "Boundary", "Degenerate")
 
@@ -48,6 +54,11 @@ MERGE_RADIUS = 3e-3
 
 # polished torus points closer than this in phase are one solution
 GROUP_RADIUS = 1e-5
+
+# points per staged solve in _classify_points: a long raster or contour
+# split holds the intermediate data of this many fibers at a time, never
+# of all of them; the answers do not depend on it
+_BATCH_POINTS = 512
 
 
 class FiberSolution:
@@ -183,7 +194,12 @@ def _direction(g1, g2):
 # --------------------------------------------------------------------------
 
 def _univariate_fiber(g, axis):
-    """Handle restrictions that involve only one torus variable."""
+    """Check a restriction that involves only one torus variable.
+
+    Such a fiber has no isolated torus point: it misses the variety, or
+    meets it in full circles when the restriction has a unit root, which
+    raises DegenerateFiber.
+    """
     d = g.degree_span(axis)[1]
     coeffs = np.zeros(d + 1, dtype=complex)
     for alpha, c in g.terms.items():
@@ -194,7 +210,6 @@ def _univariate_fiber(g, axis):
                 "restriction is univariate with a unit root: the fiber meets "
                 "the variety in full circles"
             )
-    return []
 
 
 def _merge_near_unit(clusters):
@@ -233,25 +248,24 @@ def _merge_near_unit(clusters):
     return [(c, m) for c, m in items] + out
 
 
-def _solve_fiber(f, w):
-    """Core solver; returns (solutions, gauss_pairs) sorted by phi."""
-    if f.nvars != 2:
-        raise ValueError("fiber solving is implemented for two variables")
-    if not f.terms:
-        raise DegenerateFiber("zero polynomial vanishes on every fiber")
-    if len(f.terms) == 1:
-        raise ValueError("monomials have empty varieties in the torus")
+def _eliminate(f, w):
+    """Restriction, lopsided shortcut and resultant of the fiber over w.
+
+    Returns None when the fiber has no torus point without a root finder
+    (a constant or univariate restriction, or a dominant coefficient),
+    else (gb, coeff_sum, res): the dense restriction, the sum of its
+    coefficient moduli, and its resultant with the mirror g* (a
+    polynomial in t1).
+    """
     g, _ = fiber_restrict(f, w)
     g, _ = monomial_clear(g)
     d1 = g.degree_span(0)[1]
     d2 = g.degree_span(1)[1]
-    if d1 == 0 and d2 == 0:
-        # restriction collapsed to a nonzero constant
-        return [], []
-    if d2 == 0:
-        return _univariate_fiber(g, 0), []
-    if d1 == 0:
-        return _univariate_fiber(g, 1), []
+    if d1 == 0 or d2 == 0:
+        # a nonzero constant, or a restriction in one torus variable
+        if d1 or d2:
+            _univariate_fiber(g, 0 if d2 == 0 else 1)
+        return None
 
     gb = _dense(g)
     gsb = np.conj(gb)[::-1, ::-1]
@@ -260,15 +274,39 @@ def _solve_fiber(f, w):
     # lopsided shortcut: one coefficient outweighing the rest rules out
     # torus zeros outright, no resultant needed
     if 2.0 * float(mods.max()) > coeff_sum * (1.0 + 1e-9):
-        return [], []
+        return None
     try:
         res = sylvester_resultant(gb, gsb)
     except IdenticallyZero as exc:
         raise DegenerateFiber("fiber shares a component with the variety") from exc
+    return gb, coeff_sum, res
 
-    tau = 2.0 * math.pi
-    clusters = _merge_near_unit(roots(res))
-    cands = []  # (phi, score, g1, g2, cluster_id)
+
+def _near_unit(clusters):
+    """The clusters within UNIT_BAND of |t| = 1; an unconverged one raises.
+
+    Non-finite centers fall outside the band.
+    """
+    out = [cl for cl in clusters if abs(abs(cl.center) - 1.0) <= UNIT_BAND]
+    for cl in out:
+        if not cl.converged:
+            raise NoConvergence(
+                f"root finder did not converge at |t| = {abs(cl.center):.6f}, "
+                f"within {UNIT_BAND} of the unit circle"
+            )
+    return out
+
+
+def _backsub_slices(gb, coeff_sum, found):
+    """Merge the resultant clusters and back-substitute those near |t| = 1.
+
+    Returns (clusters, slices): the merged (center, multiplicity) pairs,
+    and a (cluster id, t1, slice in t2) triple per cluster within
+    UNIT_BAND of the unit circle.
+    """
+    _near_unit(found)  # raises on an unconverged root near the circle
+    clusters = _merge_near_unit(found)
+    out = []
     for ci, (t1, _) in enumerate(clusters):
         if not (abs(abs(t1) - 1.0) <= UNIT_BAND):  # also drops non-finite centers
             continue
@@ -276,9 +314,21 @@ def _solve_fiber(f, w):
         slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
         if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum:
             raise DegenerateFiber("slice of the restriction vanished identically")
-        for c2 in roots(UniPoly(slice_c)):
-            if not (abs(abs(c2.center) - 1.0) <= UNIT_BAND):
-                continue
+        out.append((ci, t1, UniPoly(slice_c)))
+    return clusters, out
+
+
+def _solutions(gb, coeff_sum, clusters, slices, found):
+    """Polish the torus candidates of one fiber and group them into solutions.
+
+    ``slices`` are the triples of ``_backsub_slices`` and ``found`` the
+    root clusters of each slice.  Returns (solutions, gauss_pairs) sorted
+    by phi.
+    """
+    tau = 2.0 * math.pi
+    cands = []  # (phi, score, g1, g2, cluster_id)
+    for (ci, t1, _), roots2 in zip(slices, found):
+        for c2 in _near_unit(roots2):
             phi0 = (cmath.phase(t1) % tau, cmath.phase(c2.center) % tau)
             phi, val, g1, g2 = _polish_phi(gb, phi0, coeff_sum)
             if not (abs(val) <= RESIDUAL_REL * coeff_sum):
@@ -325,6 +375,59 @@ def _solve_fiber(f, w):
     return sols, gauss
 
 
+def _fibers(f, ws):
+    """Fiber solves at many points, staged so that the root finder is batched.
+
+    The stages are: restriction, shortcut and resultant per point; one
+    batched root finder over all resultants; per point, the merge, the
+    band filter and the back-substitution slices; one batched root finder
+    over all slices; per candidate, polishing and grouping.  Returns one
+    entry per point: (solutions, gauss_pairs) sorted by phi, or the
+    DegenerateFiber or NoConvergence raised for that point alone.
+    """
+    if f.nvars != 2:
+        raise ValueError("fiber solving is implemented for two variables")
+    if not f.terms:
+        return [DegenerateFiber("zero polynomial vanishes on every fiber") for _ in ws]
+    if len(f.terms) == 1:
+        raise ValueError("monomials have empty varieties in the torus")
+    out = []
+    live = []  # (point index, gb, coeff_sum, resultant)
+    for k, w in enumerate(ws):
+        out.append(([], []))
+        try:
+            elim = _eliminate(f, w)
+        except DegenerateFiber as exc:
+            out[k] = exc
+            continue
+        if elim is not None:
+            live.append((k, *elim))
+
+    staged = []  # (point index, gb, coeff_sum, clusters, slices)
+    for (k, gb, coeff_sum, _), found in zip(live, _roots_batch([it[3] for it in live])):
+        try:
+            staged.append((k, gb, coeff_sum, *_backsub_slices(gb, coeff_sum, found)))
+        except (DegenerateFiber, NoConvergence) as exc:
+            out[k] = exc
+
+    found = iter(_roots_batch([sl[2] for it in staged for sl in it[4]]))
+    for k, gb, coeff_sum, clusters, slices in staged:
+        mine = [next(found) for _ in slices]
+        try:
+            out[k] = _solutions(gb, coeff_sum, clusters, slices, mine)
+        except NoConvergence as exc:
+            out[k] = exc
+    return out
+
+
+def _solve_fiber(f, w):
+    """Core solver at one point; returns (solutions, gauss_pairs) sorted by phi."""
+    out = _fibers(f, [w])[0]
+    if isinstance(out, AmoebaError):
+        raise out
+    return out
+
+
 def fiber_solutions(f, w):
     """All intersections of V(f) with the fiber torus over w (n = 2).
 
@@ -349,6 +452,9 @@ def fiber_solutions(f, w):
     ------
     DegenerateFiber
         If the intersection is not a finite point set.
+    NoConvergence
+        If a resultant or back-substitution root within UNIT_BAND of the
+        unit circle did not converge.
     """
     sols, _ = _solve_fiber(f, w)
     return sols
@@ -367,11 +473,34 @@ def classify(f, w):
       sits where contour branches cross and the boundary certificate rests
       on the non-singularity assumption;
     - ``Degenerate``        the fiber intersection is not finite.
+
+    Raises
+    ------
+    NoConvergence
+        As ``fiber_solutions``.
     """
-    try:
-        sols, gauss = _solve_fiber(f, w)
-    except DegenerateFiber:
-        return PointClass("Degenerate")
+    return next(_classify_points(f, [w]))
+
+
+def _classify_points(f, ws):
+    """``classify`` at many points, yielded in order.
+
+    The fibers are solved in staged blocks of _BATCH_POINTS.  A degenerate
+    fiber tags its own point only; a NoConvergence at any point is raised.
+    """
+    ws = list(ws)
+    for lo in range(0, len(ws), _BATCH_POINTS):
+        for solved in _fibers(f, ws[lo:lo + _BATCH_POINTS]):
+            if isinstance(solved, DegenerateFiber):
+                yield PointClass("Degenerate")
+            elif isinstance(solved, AmoebaError):
+                raise solved
+            else:
+                yield _tag(*solved)
+
+
+def _tag(sols, gauss):
+    """The PointClass of a fiber's solutions and their Gauss pairs."""
     if not sols:
         return PointClass("Complement")
     criticals = [i for i, s in enumerate(sols) if s.critical]

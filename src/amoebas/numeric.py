@@ -4,6 +4,14 @@ Univariate dense polynomials over C, a simultaneous (Aberth-Ehrlich) root
 finder with cluster-based multiplicities, a partial-pivot LU linear solve,
 and the Sylvester resultant of two bivariate polynomials computed by
 evaluation and interpolation on a circle of nodes.
+
+The root finder is batched: ``_roots_batch`` stacks the polynomials that
+share a degree and runs one Aberth-Ehrlich iteration over the whole stack,
+so a raster or a contour sweep pays numpy's per-call overhead once per
+sweep, not once per polynomial.  Every per-root step is the same numpy
+array operation in the same order whatever the batch, so a polynomial's
+clusters come out bit for bit the same alone or in any batch; ``roots``
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -20,9 +28,17 @@ TRIM_REL = 1e-13
 # Aberth-Ehrlich sweeps before the remaining roots count as unconverged
 ABERTH_SWEEPS = 500
 
+# at most this many root pairs (rows x degree^2) per Aberth batch, which
+# bounds the difference matrix at 1 MB; splitting a batch changes no bit
+_BATCH_PAIRS = 1 << 16
+
 
 def _horner(c, x):
-    """Evaluate an ascending coefficient array at x (scalar or array)."""
+    """Evaluate ascending coefficients c[0], c[1], ... at x (scalar or array).
+
+    Each c[k] may itself be an array that broadcasts against x, which
+    evaluates a stack of polynomials with one coefficient row per point.
+    """
     r = np.full_like(np.asarray(x, dtype=complex), c[-1])
     for k in range(len(c) - 2, -1, -1):
         r = r * x + c[k]
@@ -89,133 +105,222 @@ class RootCluster:
 
 
 def _initial_guesses(c):
-    """Bini-style starting points on circles from the coefficient Newton polygon."""
-    d = c.size - 1
+    """Bini-style starting points on circles from the coefficient Newton polygon.
+
+    One row of d starting points per row of c (shape (B, d+1)): each edge
+    of the upper hull of (k, log|c_k|), with horizontal length m, puts m
+    points on the circle of the radius that edge's slope gives.
+    """
+    b, d = c.shape[0], c.shape[1] - 1
     with np.errstate(divide="ignore"):
         u = np.where(np.abs(c) > 0, np.log(np.abs(c)), -np.inf)
-    hull = []
-    for i in range(d + 1):
-        if u[i] == -np.inf:
-            continue
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            # drop i2 if it lies on or below the segment i1 -> i
-            if (u[i] - u[i1]) * (i2 - i1) >= (u[i2] - u[i1]) * (i - i1):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    out = np.empty(d, dtype=complex)
-    pos = 0
-    for i1, i2 in zip(hull, hull[1:]):
-        m = i2 - i1
-        r = np.exp((u[i1] - u[i2]) / m)
-        ang = 2.0 * np.pi * (np.arange(m) + 0.5) / m + 0.7 + 0.4 * pos
-        out[pos:pos + m] = r * np.exp(1j * ang)
-        pos += m
-    return out
+    # per root: its row, the hull edge (i1, i2) it belongs to, its offset in
+    # the row where that edge starts, and its index along the edge
+    row, lo, hi, start, along = [], [], [], [], []
+    for r, ur in enumerate(u.tolist()):
+        hull = []
+        for i in range(d + 1):
+            if ur[i] == -np.inf:
+                continue
+            while len(hull) >= 2:
+                i1, i2 = hull[-2], hull[-1]
+                # drop i2 if it lies on or below the segment i1 -> i
+                if (ur[i] - ur[i1]) * (i2 - i1) >= (ur[i2] - ur[i1]) * (i - i1):
+                    hull.pop()
+                else:
+                    break
+            hull.append(i)
+        pos = 0
+        for i1, i2 in zip(hull, hull[1:]):
+            m = i2 - i1
+            row += [r] * m
+            lo += [i1] * m
+            hi += [i2] * m
+            start += [pos] * m
+            along += range(m)
+            pos += m
+    row, lo, hi = np.array(row), np.array(lo), np.array(hi)
+    m = hi - lo
+    radius = np.exp((u[row, lo] - u[row, hi]) / m)
+    ang = 2.0 * np.pi * (np.array(along) + 0.5) / m + 0.7 + 0.4 * np.array(start)
+    return (radius * np.exp(1j * ang)).reshape(b, d)
 
 
 def _aberth(c):
-    """Run Aberth-Ehrlich on ascending coefficients c (c[0], c[-1] nonzero)."""
-    d = c.size - 1
-    dc = c[1:] * np.arange(1, d + 1)
+    """Run Aberth-Ehrlich on a stack c of shape (B, d+1) of ascending rows.
+
+    Every row needs c[:, 0] and c[:, -1] nonzero.  Returns the roots, their
+    convergence flags and their Newton inclusion radii, all of shape
+    (B, d).  Each sweep updates the live roots of every row that has one;
+    a row's roots depend on that row only, and a row leaves the stack once
+    all its roots converged.
+
+    The inclusion radius of a computed root is d |p(z)/p'(z)|.  Near an
+    m-fold root the iterates scatter to eps^(1/m), far past any fixed
+    clustering radius, but |p/p'| tracks (distance to the root)/m there,
+    so overlapping inclusion disks identify the multiplet.  Radii are
+    capped to stay local (a wild quotient must not glue the whole root set
+    together).
+    """
+    b, d = c.shape[0], c.shape[1] - 1
+    dc = c[:, 1:] * np.arange(1, d + 1)
     # running round-off bound for |p(z)|, Bini's (4k+1) profile
-    noise = np.abs(c) * (4.0 * np.arange(d + 1) + 1.0)
+    noise = (np.abs(c) * (4.0 * np.arange(d + 1) + 1.0)).astype(complex)
+    # coefficient index first, each coefficient spread over its row's d
+    # roots: full[k] has the shape of the roots, as _horner wants
+    full = [np.ascontiguousarray(np.broadcast_to(a.T[:, :, None], (a.shape[1], b, d)))
+            for a in (c, dc, noise)]
     z = _initial_guesses(c)
-    converged = np.zeros(d, dtype=bool)
-    for _ in range(ABERTH_SWEEPS):
-        active = ~converged
-        if not active.any():
-            break
-        za = z[active]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            p = _horner(c, za)
-            dp = _horner(dc, za)
-            floor = _horner(noise.astype(complex), np.abs(za)).real * EPS
-            diff = za[:, None] - z[None, :]
-            idx = np.flatnonzero(active)
-            diff[np.arange(idx.size), idx] = np.inf  # exclude self
+    converged = np.zeros((b, d), dtype=bool)
+    # the rows still iterating: their indices, roots, live roots, coefficients
+    rows, zr, live, coef = np.arange(b), z, ~converged, full
+    diagonal = (slice(None), np.arange(d), np.arange(d))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(ABERTH_SWEEPS):
+            mod = np.abs(zr)
+            p = _horner(coef[0], zr)
+            dp = _horner(coef[1], zr)
+            floor = _horner(coef[2], mod).real * EPS
+            diff = zr[:, :, None] - zr[:, None, :]
+            diff[diagonal] = np.inf  # exclude self
             diff[diff == 0] = 1e-300
-            s = np.sum(1.0 / diff, axis=1)
+            s = (1.0 / diff).sum(axis=2)
             den = dp - p * s
             den[~np.isfinite(den) | (den == 0.0)] = 1.0
             w = p / den
             # an iterate far enough out to overflow the evaluation carries no
             # information; pull it halfway back toward the origin instead
-            sick = ~np.isfinite(w) | ~np.isfinite(p)
-            w[sick] = 0.5 * za[sick]
+            finite = np.isfinite(p)
+            sick = ~np.isfinite(w) | ~finite
+            w[sick] = 0.5 * zr[sick]
             # cap wild steps
-            cap = 1.0 + np.abs(za)
+            cap = 1.0 + mod
             big = np.abs(w) > cap
             w[big] *= (cap[big] / np.abs(w[big]))
-        z[idx] = za - w
-        done = (
-            ((np.abs(w) < 1e-12 * (1.0 + np.abs(za))) | (np.abs(p) <= floor))
-            & np.isfinite(p) & np.isfinite(floor)
-        )
-        converged[idx[done]] = True
-    return z, converged
-
-
-def _inclusion_radii(c, z):
-    """Newton inclusion radii d |p(z)/p'(z)| per computed root.
-
-    Near an m-fold root the iterates scatter to eps^(1/m), far past any
-    fixed clustering radius, but |p/p'| tracks (distance to the root)/m
-    there, so overlapping inclusion disks identify the multiplet.  Radii
-    are capped to stay local (a wild quotient must not glue the whole
-    root set together).
-    """
-    d = c.size - 1
-    dc = c[1:] * np.arange(1, d + 1)
+            done = (
+                ((np.abs(w) < 1e-12 * cap) | (np.abs(p) <= floor))
+                & finite & np.isfinite(floor)
+            )
+            # converged roots keep their value; only live ones move
+            zr = np.where(live, zr - w, zr)
+            live = live & ~done
+            moving = live.any(axis=1)
+            if not moving.all():
+                z[rows[~moving]] = zr[~moving]
+                converged[rows[~moving]] = True
+                rows, zr, live = rows[moving], zr[moving], live[moving]
+                if rows.size == 0:
+                    break
+                coef = [a[:, moving] for a in coef]
+    z[rows] = zr
+    converged[rows] = ~live
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pz = _horner(c, z)
-        dpz = _horner(dc, z)
-        r = d * np.abs(pz) / np.maximum(np.abs(dpz), 1e-300)
-    r[~np.isfinite(r)] = np.inf
-    return np.minimum(r, 0.05 * (1.0 + np.abs(z)))
+        pz = _horner(full[0], z)
+        dpz = _horner(full[1], z)
+        incl = d * np.abs(pz) / np.maximum(np.abs(dpz), 1e-300)
+    incl[~np.isfinite(incl)] = np.inf
+    return z, converged, np.minimum(incl, 0.05 * (1.0 + np.abs(z)))
 
 
 def _cluster_points(z, flags, incl):
-    """Single-linkage clustering of computed roots.
+    """Single-linkage clustering of the computed roots of each row of z.
 
     Two roots join when they sit within the baseline radius
     max(1e-8, 1e-6 |center|) or when their Newton inclusion disks
-    (times a safety factor of 2) overlap.
+    (times a safety factor of 2) overlap.  All pairs are tested at once;
+    the connected components of that test are the clusters, each centred
+    at the mean of its members in index order.  Returns one sorted list
+    of RootCluster per row.
     """
-    n = z.size
-    parent = list(range(n))
+    b, n = z.shape
+    # np.hypot is Python's abs() of a complex, bit for bit; np.abs is not
+    mod = np.hypot(z.real, z.imag)
+    gap = z[:, :, None] - z[:, None, :]
+    r = np.maximum(1e-8, 1e-6 * np.maximum(mod[:, :, None], mod[:, None, :]))
+    r = np.maximum(r, 2.0 * (incl[:, :, None] + incl[:, None, :]))
+    link = (np.hypot(gap.real, gap.imag) <= r) | np.eye(n, dtype=bool)
+    # every root takes the smallest index it is linked to, until stable:
+    # then each component is labelled by its first member
+    label = np.broadcast_to(np.arange(n), (b, n))
+    while True:
+        nxt = np.where(link, label[:, None, :], n).min(axis=2)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    # the mean of one member is that member plus zero (which clears a -0.0)
+    single = (z + 0.0).tolist()
+    out = []
+    for row, labels in enumerate(label.tolist()):
+        groups = {}
+        for i, lab in enumerate(labels):
+            groups.setdefault(lab, []).append(i)
+        clusters = []
+        for members in groups.values():
+            if len(members) == 1:
+                i = members[0]
+                clusters.append(RootCluster(single[row][i], 1, 0.0, flags[row, i]))
+                continue
+            pts = z[row, members]
+            center = pts.mean()
+            radius = float(np.max(np.abs(pts - center)))
+            clusters.append(RootCluster(center, len(members), radius,
+                                        bool(flags[row, members].all())))
+        clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
+        out.append(clusters)
+    return out
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = max(1e-8, 1e-6 * max(abs(z[i]), abs(z[j])))
-            r = max(r, 2.0 * (incl[i] + incl[j]))
-            if abs(z[i] - z[j]) <= r:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for members in groups.values():
-        pts = z[members]
-        center = pts.mean()
-        radius = float(np.max(np.abs(pts - center))) if len(members) > 1 else 0.0
-        clusters.append(RootCluster(center, len(members), radius, bool(flags[members].all())))
-    clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
-    return clusters
+def _roots_batch(polys):
+    """``roots`` of many polynomials: one list of RootCluster per input.
+
+    Each polynomial is normalised and stripped of its roots at the origin
+    as ``roots`` describes; the rest are grouped by degree and each group
+    goes through one stacked Aberth-Ehrlich run (in blocks of at most
+    _BATCH_PAIRS root pairs).  The result for a polynomial does not
+    depend on the batch it came in.
+
+    Raises
+    ------
+    ValueError
+        If some input is the zero polynomial.
+    """
+    out = []
+    by_degree = {}  # trimmed degree -> [(input index, coefficients)]
+    for k, p in enumerate(polys):
+        if not isinstance(p, UniPoly):
+            p = UniPoly(p)
+        c = p.coeffs
+        if p.degree == 0:
+            if c[0] == 0:
+                raise ValueError("zero polynomial has no finite root set")
+            out.append([])
+            continue
+        c = c / np.max(np.abs(c))
+        # exact zero low-order coefficients are roots at the origin
+        at_zero = 0
+        while at_zero < c.size - 1 and c[at_zero] == 0:
+            at_zero += 1
+        c = c[at_zero:]
+        out.append([RootCluster(0j, at_zero, 0.0, True)] if at_zero else [])
+        if c.size > 1:
+            by_degree.setdefault(c.size - 1, []).append((k, c))
+    for d, items in by_degree.items():
+        step = max(1, _BATCH_PAIRS // (d * d))
+        for lo in range(0, len(items), step):
+            block = items[lo:lo + step]
+            c = np.array([row for _, row in block])
+            for (k, _), clusters in zip(block, _cluster_points(*_aberth(c))):
+                out[k].extend(clusters)
+    for clusters in out:
+        clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
+    return out
 
 
 def roots(p):
     """All complex roots of p, clustered into multiplicities.
+
+    The batch of one of the stacked root finder ``_roots_batch``: the
+    clusters are bit for bit those p gets inside any batch.
 
     Parameters
     ----------
@@ -235,27 +340,7 @@ def roots(p):
     ValueError
         If p is the zero polynomial (every point would be a root).
     """
-    if not isinstance(p, UniPoly):
-        p = UniPoly(p)
-    c = p.coeffs
-    if p.degree == 0:
-        if c[0] == 0:
-            raise ValueError("zero polynomial has no finite root set")
-        return []
-    c = c / np.max(np.abs(c))
-    # exact zero low-order coefficients are roots at the origin
-    at_zero = 0
-    while at_zero < c.size - 1 and c[at_zero] == 0:
-        at_zero += 1
-    c = c[at_zero:]
-    clusters = []
-    if at_zero:
-        clusters.append(RootCluster(0j, at_zero, 0.0, True))
-    if c.size > 1:
-        z, flags = _aberth(c)
-        clusters.extend(_cluster_points(z, flags, _inclusion_radii(c, z)))
-    clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
-    return clusters
+    return _roots_batch([p])[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Betti, membership, and classification rasters over a log window.
 
 Every cell value is one exact fiber computation at the cell center, so
-the resolution is the only accuracy knob.  Cells are independent; when
+the resolution is the only accuracy knob.  The cells of a grid are
+solved together with their root finding batched, and each cell gets the
+answer a single ``classify`` call gives.  Cells are independent; when
 the AMOEBA_THREADS environment variable asks for more than one worker
 the grid is chunked across processes, and the assembly order is fixed
 either way, so identical inputs give identical rasters.
@@ -13,7 +15,7 @@ import os
 
 import numpy as np
 
-from .fiber import classify
+from .fiber import _classify_points
 
 # value stored in Betti cells whose fiber intersection is not finite
 SENTINEL = -1
@@ -73,16 +75,15 @@ def _thread_count():
 
 
 def _grid_chunk(args):
-    """Classify a chunk of cell centers (top level so pools can pickle it)."""
+    """Classify a chunk of cell centers in one batched fiber solve.
+
+    Top level, so that pools can pickle it.
+    """
     f, chunk = args
-    out = []
-    for wx, wy in chunk:
-        pc = classify(f, (wx, wy))
-        if pc.tag == "Degenerate":
-            out.append((SENTINEL, "Degenerate"))
-        else:
-            out.append((len(pc.solutions), pc.tag))
-    return out
+    return [
+        (SENTINEL, "Degenerate") if pc.tag == "Degenerate" else (len(pc.solutions), pc.tag)
+        for pc in _classify_points(f, chunk)
+    ]
 
 
 def amoeba_grids(f, window, resolution):

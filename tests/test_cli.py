@@ -129,6 +129,14 @@ def test_degenerate_fiber_is_exit_3(capsys):
     assert "error:" in err
 
 
+def test_unconverged_root_is_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr("amoebas.numeric.ABERTH_SWEEPS", 1)
+    code, out, err = run(capsys, "classify", "--poly", "1 + z1 + z2", "--point", "0,0")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: root finder did not converge")
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

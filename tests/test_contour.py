@@ -10,11 +10,13 @@ import pytest
 
 from amoebas import (
     DegenerateSlice,
+    classify,
     classify_contour,
     contour_slice,
     parse_poly,
     trace_contour,
 )
+import amoebas.contour
 from amoebas.contour import SkippedSlices
 
 CUBIC = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
@@ -174,3 +176,61 @@ def test_classify_contour_harnack_has_no_inner_class():
     split = classify_contour(HARNACK, pts)
     assert split["inner"] == []
     assert len(split["boundary"]) >= 0.95 * len(pts)
+
+
+def point_bits(p):
+    return (p.w, p.s_param, p.source_z)
+
+
+def class_bits(pc):
+    return (pc.tag, pc.caveat,
+            [(s.phi, s.multiplicity, s.critical, s.score) for s in pc.solutions])
+
+
+@pytest.mark.parametrize("text", [
+    "z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1",
+    "z1^3 + z2^3 + z1*z2 + 1",
+    "(z1 - 2)*(1 + z1 + z2)",  # the slice at pi/2 is degenerate
+])
+def test_batched_trace_is_the_union_of_single_slices(text, monkeypatch):
+    monkeypatch.setattr(amoebas.contour, "_BATCH_SLICES", 5)  # 12 slices in 3 sweeps
+    f = parse_poly(text, 2)
+    n = 12
+    singles, skipped = [], 0
+    for k in range(n):
+        try:
+            singles.extend(contour_slice(f, math.pi * k / n))
+        except DegenerateSlice:
+            skipped += 1
+    seen = {}
+    for p in singles:
+        seen.setdefault((round(p.w[0] * 1e9), round(p.w[1] * 1e9), round(p.s_param * 1e12)), p)
+    expected = sorted(seen.values(), key=lambda p: (p.w, p.s_param))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traced = trace_contour(f, n)
+    assert [point_bits(p) for p in traced] == [point_bits(p) for p in expected]
+    assert len([w for w in caught if issubclass(w.category, SkippedSlices)]) == (skipped > 0)
+    assert skipped == (1 if text.startswith("(") else 0)
+
+
+@pytest.mark.parametrize("text", [
+    "z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1",
+    "z1^3 + z2^3 + z1*z2 + 1",
+])
+def test_batched_contour_split_matches_single_classify(text):
+    f = parse_poly(text, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pts = trace_contour(f, 16)
+    parts = classify_contour(f, iter(pts))
+    got = {id(p): pc for part in parts.values() for p, pc in part}
+    assert len(got) == len(pts)
+    for p in pts:
+        pc = got[id(p)]
+        assert class_bits(pc) == class_bits(classify(f, p.w))
+        key = {"Boundary": "boundary", "Degenerate": "degenerate"}.get(pc.tag, "inner")
+        assert any(q is p for q, _ in parts[key])
+    for part in parts.values():
+        order = [pts.index(p) for p, _ in part]
+        assert order == sorted(order)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import amoebas.fiber
+import amoebas.numeric
 from amoebas import (
     DegenerateFiber,
     InconsistentOrder,
     LaurentPoly,
+    NoConvergence,
     Overflow,
     classify,
     evaluate,
@@ -229,6 +231,48 @@ def test_degenerate_univariate_restriction():
     with pytest.raises(DegenerateFiber):
         fiber_solutions(f, (math.log(2.0), 0.0))
     assert fiber_solutions(f, (0.0, 0.0)) == []
+
+
+def test_unconverged_resultant_root_near_the_circle_raises(monkeypatch):
+    # 1 + z1 + z2 meets the unit torus twice; one Aberth sweep leaves
+    # resultant roots unconverged within the unit band, which must not
+    # read as an empty fiber
+    f = parse_poly("1 + z1 + z2", 2)
+    assert len(fiber_solutions(f, (0.0, 0.0))) == 2
+    monkeypatch.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
+    with pytest.raises(NoConvergence):
+        fiber_solutions(f, (0.0, 0.0))
+    with pytest.raises(NoConvergence):
+        classify(f, (0.0, 0.0))
+
+
+def slow_batch(monkeypatch, which):
+    """Give the which-th batched root finder call of a solve one Aberth sweep.
+
+    The first call of a fiber solve finds the resultant roots, the second
+    the back-substitution roots.  Returns the batch sizes seen.
+    """
+    real = amoebas.fiber._roots_batch
+    calls = []
+
+    def wrapped(polys):
+        calls.append(len(polys))
+        with monkeypatch.context() as m:
+            if len(calls) == which:
+                m.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
+            return real(polys)
+
+    monkeypatch.setattr(amoebas.fiber, "_roots_batch", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("which", [1, 2], ids=["resultant", "backsub"])
+def test_unconverged_root_at_either_stage_raises(monkeypatch, which):
+    calls = slow_batch(monkeypatch, which)
+    with pytest.raises(NoConvergence):
+        fiber_solutions(parse_poly("1 + z1 + z2", 2), (0.0, 0.0))
+    # the slow stage had work, and no later stage got any
+    assert calls[which - 1] > 0 and not any(calls[which:])
 
 
 def test_monomial_rejected():

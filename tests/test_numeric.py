@@ -21,6 +21,8 @@ from amoebas import (
     solve_linear,
     sylvester_resultant,
 )
+import amoebas.numeric as numeric
+from amoebas.numeric import _cluster_points, _roots_batch
 
 
 def match_root_sets(found, expected, tol):
@@ -114,6 +116,137 @@ def test_roots_huge_degree_gap_stays_finite():
     c[89] = 1e-9
     cls = roots(UniPoly(c))
     assert all(np.isfinite(cl.center) for cl in cls)
+
+
+def cluster_bits(clusters):
+    """Every field of every cluster, floats as exact hex strings."""
+    return [
+        (cl.center.real.hex(), cl.center.imag.hex(), cl.multiplicity,
+         cl.radius.hex(), cl.converged)
+        for cl in clusters
+    ]
+
+
+def random_poly(rng, size, low=-16, high=2):
+    """Coefficients with moduli 10^[low, high) and random phases."""
+    mags = 10.0 ** rng.uniform(low, high, size)
+    return mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+
+
+def batch_cases():
+    rng = np.random.default_rng(2024)
+    fromroots = np.polynomial.polynomial.polyfromroots
+    cases = [
+        fromroots([1.0, 1.0, -2.0]),  # double root
+        fromroots([1j, 1j, 1j, -1.0]),  # triple root
+        fromroots([0.5, 0.5, 2j, 2j, -1.5, 0.3 - 0.2j]),  # two double roots
+        [0.0, 0.0, 0.0, -5.0, 1.0],  # zero low-order coefficients
+        [0.0, 2.0, -1.0, 1.0],
+        [0.0, 0.0, 5.0],  # roots at the origin only
+        [2.0, 1.0],  # degree 1
+        [1e-16, 3.0],
+        [-1j, 1e2],
+        [3.0],  # degree 0
+        [5.0, 1e-15],  # trims to degree 0
+        [2.0, 0.0, 1e-14],
+    ]
+    # coefficient spreads from 1e-16 to 1e2, degrees 2 to 12
+    cases += [random_poly(rng, int(rng.integers(3, 14))) for _ in range(30)]
+    return [np.asarray(c, dtype=complex) for c in cases]
+
+
+def test_roots_are_the_same_alone_and_in_any_batch(monkeypatch):
+    cases = batch_cases()
+    alone = [cluster_bits(roots(c)) for c in cases]
+    assert [cluster_bits(r) for r in _roots_batch(cases)] == alone
+    assert [cluster_bits(r) for r in _roots_batch(cases[::-1])] == alone[::-1]
+    # each case at a seeded row among others of its own size
+    rng = np.random.default_rng(7)
+    for c, want in zip(cases, alone):
+        crowd = [random_poly(rng, c.size, -3, 2) for _ in range(int(rng.integers(1, 40)))]
+        row = int(rng.integers(0, len(crowd) + 1))
+        batch = crowd[:row] + [c] + crowd[row:]
+        assert cluster_bits(_roots_batch(batch)[row]) == want
+    # blocks of a few rows split every degree group: still the same
+    monkeypatch.setattr(numeric, "_BATCH_PAIRS", 40)
+    assert [cluster_bits(r) for r in _roots_batch(cases)] == alone
+    assert [cl.multiplicity for cl in roots(cases[1])] == [1, 3]
+
+
+def test_roots_batch_rejects_a_zero_polynomial():
+    with pytest.raises(ValueError):
+        _roots_batch([[1.0, 2.0], [0.0, 0.0]])
+
+
+def union_find_clusters(z, flags, incl):
+    """Reference: the pairwise union-find loop the vectorised test replaced."""
+    n = z.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = max(1e-8, 1e-6 * max(abs(z[i]), abs(z[j])))
+            r = max(r, 2.0 * (incl[i] + incl[j]))
+            if abs(z[i] - z[j]) <= r:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for members in groups.values():
+        pts = z[members]
+        center = pts.mean()
+        radius = float(np.max(np.abs(pts - center))) if len(members) > 1 else 0.0
+        clusters.append(RootCluster(center, len(members), radius, bool(flags[members].all())))
+    clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
+    return clusters
+
+
+def test_cluster_points_matches_the_union_find_loop():
+    rng = np.random.default_rng(31)
+    linked = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 14))
+        # points scattered around a few seeds, so that chains of links,
+        # borderline pairs and exact duplicates all occur
+        seeds = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        z = seeds[rng.integers(0, 3, n)] + 10.0 ** rng.uniform(-10, 0, n) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, n))
+        z[rng.random(n) < 0.1] = -0.0 - 0.0j
+        incl = 10.0 ** rng.uniform(-12, -1, n)
+        flags = rng.random(n) > 0.2
+        rows = np.stack([z, z[::-1]])
+        got = _cluster_points(rows, np.stack([flags, flags[::-1]]), np.stack([incl, incl[::-1]]))
+        assert cluster_bits(got[0]) == cluster_bits(union_find_clusters(z, flags, incl))
+        assert cluster_bits(got[1]) == cluster_bits(
+            union_find_clusters(z[::-1], flags[::-1], incl[::-1]))
+        linked += len(got[0]) < n
+    assert linked > 100
+
+
+def test_cluster_link_at_exactly_the_inclusion_radius():
+    # pairs whose distance np.abs rounds an ulp above Python's abs(), with
+    # inclusion radii that put the link test at exactly abs(): they link,
+    # as in the union-find loop
+    rng = np.random.default_rng(5)
+    gaps = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+    over = [g for g in gaps if np.abs(g) > abs(complex(g))]
+    for g in over[:20] + [gaps[0]]:
+        h = abs(complex(g))
+        z = np.array([0j, g])
+        incl = np.array([h / 4, h / 4])  # 2 (h/4 + h/4) == h exactly
+        flags = np.array([True, True])
+        got = _cluster_points(z[None], flags[None], incl[None])[0]
+        assert cluster_bits(got) == cluster_bits(union_find_clusters(z, flags, incl))
+        assert [cl.multiplicity for cl in got] == [2]
 
 
 def test_root_cluster_repr_mentions_multiplicity():

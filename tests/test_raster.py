@@ -7,9 +7,12 @@ from amoebas import (
     Raster,
     amoeba_grids,
     cell_walls,
+    classify,
     lopsided,
     parse_poly,
 )
+import amoebas.fiber
+from amoebas.raster import SENTINEL
 
 HARNACK = parse_poly("z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1", 2)
 CUBIC13 = parse_poly("z1^3 + z2^3 + 1.3*z1*z2 + 1", 2)
@@ -124,3 +127,41 @@ def test_unusable_thread_setting_means_serial(monkeypatch):
     monkeypatch.setenv("AMOEBA_THREADS", "many")
     r = amoeba_grids(CUBIC13, ((-1.0, -1.0), (1.0, 1.0)), (3, 3))[0]
     assert r.cells.shape == (3, 3)
+
+
+# the acceptance polynomials, and a product with the line z1 z2 = 1 whose
+# anti-diagonal cells are degenerate among ordinary ones
+STAGED = [
+    ("z1^3 + z2^3 + z1*z2 + 1", None),
+    ("z1^3 + z2^3 + 1.3*z1*z2 + 1", None),
+    ("z1^3 + z2^3 - 4*z1*z2 + 1", None),
+    ("z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1", None),
+    ("-2*z1^2 - 2*z1*z2^2 + 1.5i*z1^-1*z2^-1 - 1.2", None),
+    ("-2*z1^2 - 2*z1*z2^2 + 1.5i*z1^-1*z2^-1 - 4.9", None),
+    ("(z1*z2 - 1)*(1 + z1 + z2)", ((-1.0, -1.0), (1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("k", range(len(STAGED)))
+def test_batched_raster_matches_single_classify(k, threads, monkeypatch):
+    text, window = STAGED[k]
+    if window is None:
+        rng = np.random.default_rng(900 + k)
+        lo = rng.uniform(-2.5, 0.0, 2)
+        window = (tuple(lo), tuple(lo + rng.uniform(1.0, 3.0, 2)))
+    f = parse_poly(text, 2)
+    monkeypatch.setenv("AMOEBA_THREADS", threads)
+    # blocks of 10 cells, so that the grid (or a worker's chunk) spans several
+    monkeypatch.setattr(amoebas.fiber, "_BATCH_POINTS", 10)
+    betti, tags = amoeba_grids(f, window, (9, 9))
+    xs, ys = betti.centers()
+    seen = set()
+    for i in range(9):
+        for j in range(9):
+            pc = classify(f, (float(xs[i]), float(ys[j])))
+            count = SENTINEL if pc.tag == "Degenerate" else len(pc.solutions)
+            assert (betti.cells[i, j], tags.cells[i, j]) == (count, pc.tag), (i, j)
+            seen.add(pc.tag)
+    if k == len(STAGED) - 1:
+        assert {"Degenerate", "Complement", "Interior"} <= seen
