@@ -16,8 +16,7 @@ Exit codes: 0 success, 1 failed basis verification, 2 parse errors,
 
 Points are log coordinates by default; pass --abs to give coordinate
 moduli |z_j| instead.  All floats are printed with 12 significant
-digits, so identical jobs produce identical bytes.  The environment
-variable AMOEBA_THREADS caps the raster worker count.
+digits, so identical jobs produce identical bytes.
 """
 
 from __future__ import annotations

@@ -22,7 +22,15 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateSlice, IdenticallyZero
-from .fiber import CRITICAL_TOL, RESIDUAL_REL, _classify_points, _dense, _eval_bi, _score
+from .fiber import (
+    CRITICAL_TOL,
+    RESIDUAL_REL,
+    _abs_at,
+    _classify_points,
+    _dense,
+    _eval_bi,
+    _score,
+)
 from .laurent import log_gauss_numerator, monomial_clear
 from .numeric import UniPoly, _roots_batch, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
@@ -61,18 +69,6 @@ class ContourPoint:
             f"ContourPoint(w=({self.w[0]:.9f}, {self.w[1]:.9f}), "
             f"theta={self.s_param:.9f})"
         )
-
-
-def _abs_at(b, z1, z2):
-    """Term-modulus sums for the value and both Gauss numerators."""
-    ab = np.abs(b)
-    p1 = abs(z1) ** np.arange(b.shape[0])
-    p2 = abs(z2) ** np.arange(b.shape[1])
-    rows = ab @ p2
-    sval = float(p1 @ rows)
-    sg1 = float((np.arange(b.shape[0]) * p1) @ rows)
-    sg2 = float((p1 @ ab) @ (np.arange(b.shape[1]) * p2))
-    return sval, sg1, sg2
 
 
 def _polish_pair(gb, hb, z1, z2, steps=6):

@@ -133,6 +133,14 @@ def _eval_bi(b, z1, z2):
     return complex(val), complex(gam1), complex(gam2)
 
 
+def _abs_at(b, z1, z2):
+    """Term-modulus sums for the value and both Gauss numerators, as floats.
+
+    The term-modulus twin of ``_eval_bi``: the same sums over |b| at |z|.
+    """
+    return tuple(v.real for v in _eval_bi(np.abs(b), abs(z1), abs(z2)))
+
+
 def _polish_phi(gb, phi, scale, steps=10):
     """Newton steps on (Re g, Im g)(phi) staying exactly on the torus."""
     p1, p2 = phi
@@ -285,16 +293,16 @@ def _eliminate(f, w):
 def _near_unit(clusters):
     """The clusters within UNIT_BAND of |t| = 1; an unconverged one raises.
 
-    Non-finite centers fall outside the band.
+    Any unconverged cluster raises, wherever it stopped: it is not where
+    it would converge to, so it may belong in the band.  Non-finite
+    centers fall outside the band.
     """
-    out = [cl for cl in clusters if abs(abs(cl.center) - 1.0) <= UNIT_BAND]
-    for cl in out:
+    for cl in clusters:
         if not cl.converged:
             raise NoConvergence(
-                f"root finder did not converge at |t| = {abs(cl.center):.6f}, "
-                f"within {UNIT_BAND} of the unit circle"
+                f"root finder did not converge at |t| = {abs(cl.center):.6f}"
             )
-    return out
+    return [cl for cl in clusters if abs(abs(cl.center) - 1.0) <= UNIT_BAND]
 
 
 def _backsub_slices(gb, coeff_sum, found):
@@ -304,7 +312,7 @@ def _backsub_slices(gb, coeff_sum, found):
     and a (cluster id, t1, slice in t2) triple per cluster within
     UNIT_BAND of the unit circle.
     """
-    _near_unit(found)  # raises on an unconverged root near the circle
+    _near_unit(found)  # raises on an unconverged root
     clusters = _merge_near_unit(found)
     out = []
     for ci, (t1, _) in enumerate(clusters):
@@ -453,8 +461,7 @@ def fiber_solutions(f, w):
     DegenerateFiber
         If the intersection is not a finite point set.
     NoConvergence
-        If a resultant or back-substitution root within UNIT_BAND of the
-        unit circle did not converge.
+        If a resultant or back-substitution root did not converge.
     """
     sols, _ = _solve_fiber(f, w)
     return sols

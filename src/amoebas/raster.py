@@ -2,16 +2,11 @@
 
 Every cell value is one exact fiber computation at the cell center, so
 the resolution is the only accuracy knob.  The cells of a grid are
-solved together with their root finding batched, and each cell gets the
-answer a single ``classify`` call gives.  Cells are independent; when
-the AMOEBA_THREADS environment variable asks for more than one worker
-the grid is chunked across processes, and the assembly order is fixed
-either way, so identical inputs give identical rasters.
+solved together, in one process, with their root finding batched, and
+each cell gets the answer a single ``classify`` call gives.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -64,28 +59,6 @@ class Raster:
         return f"Raster({nx}x{ny}, window={self.window}, dtype={self.cells.dtype})"
 
 
-def _thread_count():
-    """Worker count from AMOEBA_THREADS; anything unusable means serial."""
-    raw = os.environ.get("AMOEBA_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, k)
-
-
-def _grid_chunk(args):
-    """Classify a chunk of cell centers in one batched fiber solve.
-
-    Top level, so that pools can pickle it.
-    """
-    f, chunk = args
-    return [
-        (SENTINEL, "Degenerate") if pc.tag == "Degenerate" else (len(pc.solutions), pc.tag)
-        for pc in _classify_points(f, chunk)
-    ]
-
-
 def amoeba_grids(f, window, resolution):
     """One classification pass, two rasters.
 
@@ -102,26 +75,12 @@ def amoeba_grids(f, window, resolution):
     nx, ny = probe.resolution
     points = [(float(xs[i]), float(ys[j])) for i in range(nx) for j in range(ny)]
 
-    threads = _thread_count()
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = max(1, len(points) // (4 * threads))
-        chunks = [points[k:k + step] for k in range(0, len(points), step)]
-        jobs = [(f, chunk) for chunk in chunks]
-        values = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_grid_chunk, jobs):
-                values.extend(part)
-    else:
-        values = _grid_chunk((f, points))
-
     betti = np.empty((nx, ny), dtype=int)
     tags = np.empty((nx, ny), dtype="<U15")
-    for idx, (count, tag) in enumerate(values):
+    for idx, pc in enumerate(_classify_points(f, points)):
         i, j = divmod(idx, ny)
-        betti[i, j] = count
-        tags[i, j] = tag
+        betti[i, j] = SENTINEL if pc.tag == "Degenerate" else len(pc.solutions)
+        tags[i, j] = pc.tag
     return (
         Raster(window, resolution, betti),
         Raster(window, resolution, tags),

@@ -131,10 +131,13 @@ def test_degenerate_fiber_is_exit_3(capsys):
 
 def test_unconverged_root_is_exit_4(capsys, monkeypatch):
     monkeypatch.setattr("amoebas.numeric.ABERTH_SWEEPS", 1)
-    code, out, err = run(capsys, "classify", "--poly", "1 + z1 + z2", "--point", "0,0")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: root finder did not converge")
+    # one sweep leaves unconverged resultant roots within the unit band for
+    # 1 + z1 + z2, and only outside it for the cubic
+    for poly in ("1 + z1 + z2", CUBIC):
+        code, out, err = run(capsys, "classify", "--poly", poly, "--point", "0,0")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: root finder did not converge")
 
 
 @pytest.mark.parametrize(
@@ -262,21 +265,6 @@ def test_ppm_reruns_are_byte_identical(capsys, tmp_path):
             "--res", "4,4", "--output", str(path),
         )
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_threaded_raster_matches_serial(capsys, tmp_path, monkeypatch):
-    serial, threaded = tmp_path / "s.ppm", tmp_path / "t.ppm"
-    monkeypatch.delenv("AMOEBA_THREADS", raising=False)
-    run(
-        capsys, "betti", "--poly", CUBIC13, "--window", "-1,-1,1,1",
-        "--res", "5,5", "--output", str(serial),
-    )
-    monkeypatch.setenv("AMOEBA_THREADS", "2")
-    run(
-        capsys, "betti", "--poly", CUBIC13, "--window", "-1,-1,1,1",
-        "--res", "5,5", "--output", str(threaded),
-    )
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_raster_svg_export(capsys, tmp_path):

@@ -22,8 +22,9 @@ from amoebas import (
     monomial_clear,
     order,
     parse_poly,
+    roots,
 )
-from amoebas.fiber import CRITICAL_TOL, _dense, _eval_bi, _score, _solve_fiber
+from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _dense, _eval_bi, _score, _solve_fiber
 
 from oracles import brute_member, eval_at_phases
 
@@ -273,6 +274,23 @@ def test_unconverged_root_at_either_stage_raises(monkeypatch, which):
         fiber_solutions(parse_poly("1 + z1 + z2", 2), (0.0, 0.0))
     # the slow stage had work, and no later stage got any
     assert calls[which - 1] > 0 and not any(calls[which:])
+
+
+def test_unconverged_root_off_the_circle_raises(monkeypatch):
+    # one Aberth sweep leaves all nine resultant roots of the cubic
+    # unconverged, every one outside the unit band; where they stopped says
+    # nothing about where they belong, so they must not read as an empty
+    # fiber either
+    f = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
+    assert classify(f, (0.0, 0.0)).tag == "Boundary"
+    monkeypatch.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
+    found = roots(amoebas.fiber._eliminate(f, (0.0, 0.0))[2])
+    assert found and not any(cl.converged for cl in found)
+    assert all(abs(abs(cl.center) - 1.0) > UNIT_BAND for cl in found)
+    with pytest.raises(NoConvergence):
+        fiber_solutions(f, (0.0, 0.0))
+    with pytest.raises(NoConvergence):
+        classify(f, (0.0, 0.0))
 
 
 def test_monomial_rejected():

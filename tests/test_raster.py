@@ -1,4 +1,4 @@
-"""Betti and classification rasters, wall extraction, thread determinism."""
+"""Betti and classification rasters, wall extraction, batched against single solves."""
 
 import numpy as np
 import pytest
@@ -115,20 +115,6 @@ def test_cell_walls_reject_tag_rasters():
         cell_walls(tags)
 
 
-def test_thread_count_matches_serial(monkeypatch):
-    monkeypatch.delenv("AMOEBA_THREADS", raising=False)
-    serial = amoeba_grids(CUBIC13, WINDOW, (7, 7))[0]
-    monkeypatch.setenv("AMOEBA_THREADS", "2")
-    threaded = amoeba_grids(CUBIC13, WINDOW, (7, 7))[0]
-    assert np.array_equal(serial.cells, threaded.cells)
-
-
-def test_unusable_thread_setting_means_serial(monkeypatch):
-    monkeypatch.setenv("AMOEBA_THREADS", "many")
-    r = amoeba_grids(CUBIC13, ((-1.0, -1.0), (1.0, 1.0)), (3, 3))[0]
-    assert r.cells.shape == (3, 3)
-
-
 # the acceptance polynomials, and a product with the line z1 z2 = 1 whose
 # anti-diagonal cells are degenerate among ordinary ones
 STAGED = [
@@ -142,17 +128,15 @@ STAGED = [
 ]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("k", range(len(STAGED)))
-def test_batched_raster_matches_single_classify(k, threads, monkeypatch):
+def test_batched_raster_matches_single_classify(k, monkeypatch):
     text, window = STAGED[k]
     if window is None:
         rng = np.random.default_rng(900 + k)
         lo = rng.uniform(-2.5, 0.0, 2)
         window = (tuple(lo), tuple(lo + rng.uniform(1.0, 3.0, 2)))
     f = parse_poly(text, 2)
-    monkeypatch.setenv("AMOEBA_THREADS", threads)
-    # blocks of 10 cells, so that the grid (or a worker's chunk) spans several
+    # blocks of 10 cells, so that the 81 cells span several blocks
     monkeypatch.setattr(amoebas.fiber, "_BATCH_POINTS", 10)
     betti, tags = amoeba_grids(f, window, (9, 9))
     xs, ys = betti.centers()
