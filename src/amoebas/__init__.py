@@ -17,7 +17,6 @@ from .errors import (
     EmptyInput,
     IdenticallyZero,
     InconsistentOrder,
-    NegativeExponent,
     NoConvergence,
     NotLinear,
     Overflow,
@@ -70,9 +69,9 @@ from .raster import (
 __all__ = [
     "__version__",
     "AmoebaError", "AxiomFailure", "DegenerateFiber", "DegenerateSlice",
-    "EmptyInput", "IdenticallyZero", "InconsistentOrder", "NegativeExponent",
-    "NoConvergence", "NotLinear", "Overflow", "ParseError", "PolySyntaxError",
-    "SingularMatrix", "UnknownVariable", "ZeroCoordinate",
+    "EmptyInput", "IdenticallyZero", "InconsistentOrder", "NoConvergence",
+    "NotLinear", "Overflow", "ParseError", "PolySyntaxError", "SingularMatrix",
+    "UnknownVariable", "ZeroCoordinate",
     "LaurentPoly", "NewtonPolytope",
     "evaluate", "fiber_restrict", "log_gauss_numerator", "monomial_clear",
     "newton_polytope",

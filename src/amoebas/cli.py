@@ -39,7 +39,6 @@ from .errors import (
     DegenerateSlice,
     IdenticallyZero,
     InconsistentOrder,
-    NegativeExponent,
     NoConvergence,
     NotLinear,
     Overflow,
@@ -486,7 +485,7 @@ def main(argv=None):
         print(f"error: {exc}{span}", file=sys.stderr)
         return 2
     except (DegenerateFiber, DegenerateSlice, IdenticallyZero, SingularMatrix,
-            ZeroCoordinate, NegativeExponent, Overflow, NotLinear) as exc:
+            ZeroCoordinate, Overflow, NotLinear) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NoConvergence, InconsistentOrder) as exc:

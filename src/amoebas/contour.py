@@ -16,6 +16,7 @@ boundary from the inner contour arcs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -30,17 +31,14 @@ from .fiber import (
     _dense,
     _eval_bi,
     _score,
+    _staged,
 )
 from .laurent import log_gauss_numerator, monomial_clear
-from .numeric import UniPoly, _roots_batch, sylvester_resultant
+from .numeric import UniPoly, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
 # moduli below this cutoff are elimination artifacts, not torus points
 TORUS_CUTOFF = 1e-9
-
-# slices per staged sweep in trace_contour, which bounds the intermediate
-# data held at once; the points do not depend on it
-_BATCH_SLICES = 256
 
 
 class SkippedSlices(UserWarning):
@@ -71,9 +69,9 @@ class ContourPoint:
         )
 
 
-def _polish_pair(gb, hb, z1, z2, steps=6):
-    """Newton iterations on the holomorphic pair (g, h), damped per coordinate."""
-    for _ in range(steps):
+def _polish_pair(gb, hb, z1, z2):
+    """At most six Newton steps on the holomorphic pair (g, h), damped per coordinate."""
+    for _ in range(6):
         g, gg1, gg2 = _eval_bi(gb, z1, z2)
         h, hg1, hg2 = _eval_bi(hb, z1, z2)
         sg = _abs_at(gb, z1, z2)[0]
@@ -107,12 +105,15 @@ def _vertical_guard(gb, t1, slice_c):
         )
 
 
-def _eliminate(f, theta):
-    """First stage of a slice: (gb, hb, the t1 polynomial) at angle theta.
+def _eliminate(curve, theta):
+    """First stage of a slice: ((gb, hb, theta), the t1 polynomial).
 
-    The t1 polynomial is the Sylvester resultant of g and h in z2, or the
-    z2-free h itself when the Gauss combination lost its z2 dependence.
+    ``curve`` is (gb, G1, G2): the dense cleared f and its two logarithmic
+    Gauss numerators.  The t1 polynomial is the Sylvester resultant of g
+    and h in z2, or the z2-free h itself when the Gauss combination lost
+    its z2 dependence.
     """
+    gb, lg1, lg2 = curve
     st, ct = math.sin(theta), math.cos(theta)
     # snap axis directions: cos(pi/2) is 6.1e-17 in floats, which would hide
     # an identically vanishing Gauss combination behind a phantom tiny term
@@ -120,31 +121,30 @@ def _eliminate(f, theta):
         st = 0.0
     if abs(ct) < 1e-15:
         ct = 0.0
-    comb = st * log_gauss_numerator(f, 1) - ct * log_gauss_numerator(f, 0)
+    comb = st * lg2 - ct * lg1
     if not comb.terms:
         raise DegenerateSlice(
             f"Gauss combination vanishes identically at theta={theta:.6f}"
         )
-    g, _ = monomial_clear(f)
     h, _ = monomial_clear(comb)
-    gb = _dense(g)
     hb = _dense(h)
     if hb.shape[1] == 1:
-        return gb, hb, UniPoly(hb[:, 0])
+        return (gb, hb, theta), UniPoly(hb[:, 0])
     if gb.shape[1] == 1:
         # f is free of z2 but the combination is not; cannot happen for a
         # cleared f because then z2 df/dz2 vanishes identically
         raise DegenerateSlice("variety is a union of coordinate lines")
     try:
-        return gb, hb, sylvester_resultant(gb, hb)
+        return (gb, hb, theta), sylvester_resultant(gb, hb)
     except IdenticallyZero as exc:
         raise DegenerateSlice(
             f"slice at theta={theta:.6f} shares a component with the variety"
         ) from exc
 
 
-def _backsub_slices(gb, found):
+def _backsub_slices(state, found):
     """The (t1, z2-slice of g) pair of each t1 root off the origin."""
+    gb = state[0]
     out = []
     for cl in found:
         t1 = cl.center
@@ -157,18 +157,19 @@ def _backsub_slices(gb, found):
             # already rejected a shared root, which would carry a full line
             continue
         out.append((t1, UniPoly(slice_c)))
-    return out
+    return state, out
 
 
-def _points(gb, hb, theta, slices, found):
+def _points(state, found):
     """Polish, deduplicate and sort the witnesses of one slice.
 
-    ``slices`` are the (t1, slice) pairs of ``_backsub_slices`` and
-    ``found`` the root clusters of each slice.
+    ``found`` pairs each t1 of ``_backsub_slices`` with the root clusters
+    of its slice.
     """
+    gb, hb, theta = state
     direct = hb.shape[1] == 1
     pairs = []
-    for (t1, _), roots2 in zip(slices, found):
+    for t1, roots2 in found:
         for c2 in roots2:
             t2 = c2.center
             if not abs(t2) >= TORUS_CUTOFF:
@@ -217,40 +218,23 @@ def _points(gb, hb, theta, slices, found):
 
 
 def _sweep(f, thetas):
-    """Solve many slices, staged so that the root finder is batched.
+    """Solve many slices through ``fiber._staged``.
 
-    The stages are: Gauss combination and elimination per slice; one
-    batched root finder over all t1 polynomials; per slice, the
-    back-substitution slices; one batched root finder over all of them;
-    per candidate, polishing and deduplication.  Returns one entry per
-    angle: the sorted ContourPoint list of ``contour_slice``, or the
-    DegenerateSlice raised for that slice alone.
+    The stages are: Gauss combination and elimination per slice; the
+    back-substitution slices per slice; polishing and deduplication per
+    candidate.  The dense f and its Gauss numerators are built once.
+    Returns an iterator with one entry per angle: the sorted ContourPoint
+    list of ``contour_slice``, or the DegenerateSlice raised for that
+    slice alone.
     """
     if f.nvars != 2:
         raise ValueError("contour tracing is implemented for two variables")
     if len(f.terms) < 2:
         raise ValueError("monomials have empty varieties in the torus")
-    out = []
-    live = []  # (slice index, theta, gb, hb, t1 polynomial)
-    for k, theta in enumerate(thetas):
-        theta = float(theta)
-        out.append([])
-        try:
-            live.append((k, theta, *_eliminate(f, theta)))
-        except DegenerateSlice as exc:
-            out[k] = exc
-
-    staged = []  # (slice index, theta, gb, hb, back-substitution slices)
-    for (k, theta, gb, hb, _), found in zip(live, _roots_batch([it[4] for it in live])):
-        try:
-            staged.append((k, theta, gb, hb, _backsub_slices(gb, found)))
-        except DegenerateSlice as exc:
-            out[k] = exc
-
-    found = iter(_roots_batch([sl[1] for it in staged for sl in it[4]]))
-    for k, theta, gb, hb, slices in staged:
-        out[k] = _points(gb, hb, theta, slices, [next(found) for _ in slices])
-    return out
+    curve = (_dense(monomial_clear(f)[0]), log_gauss_numerator(f, 0),
+             log_gauss_numerator(f, 1))
+    return _staged(map(float, thetas), functools.partial(_eliminate, curve),
+                   _backsub_slices, _points, (DegenerateSlice,))
 
 
 def contour_slice(f, theta):
@@ -276,7 +260,7 @@ def contour_slice(f, theta):
     DegenerateSlice
         When the slice system is not zero-dimensional at this angle.
     """
-    out = _sweep(f, [theta])[0]
+    out = next(_sweep(f, [theta]))
     if isinstance(out, DegenerateSlice):
         raise out
     return out
@@ -298,13 +282,11 @@ def trace_contour(f, n_slices):
     thetas = [math.pi * k / n_slices for k in range(n_slices)]
     points = []
     skipped = []
-    for lo in range(0, n_slices, _BATCH_SLICES):
-        block = thetas[lo:lo + _BATCH_SLICES]
-        for theta, out in zip(block, _sweep(f, block)):
-            if isinstance(out, DegenerateSlice):
-                skipped.append((theta, str(out)))
-            else:
-                points.extend(out)
+    for theta, out in zip(thetas, _sweep(f, thetas)):
+        if isinstance(out, DegenerateSlice):
+            skipped.append((theta, str(out)))
+        else:
+            points.extend(out)
     if skipped:
         warnings.warn(
             f"skipped {len(skipped)} of {n_slices} slices; first at "

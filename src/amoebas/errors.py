@@ -38,10 +38,6 @@ class ZeroCoordinate(AmoebaError):
     """A coordinate is zero (or numerically zero) where a nonzero one is required."""
 
 
-class NegativeExponent(AmoebaError):
-    """Operation requires a genuine polynomial; clear denominators first."""
-
-
 class Overflow(AmoebaError):
     """Exponent data exceeds the representable range even after normalization."""
 

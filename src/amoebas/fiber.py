@@ -13,6 +13,7 @@ from contour and boundary points.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -55,10 +56,10 @@ MERGE_RADIUS = 3e-3
 # polished torus points closer than this in phase are one solution
 GROUP_RADIUS = 1e-5
 
-# points per staged solve in _classify_points: a long raster or contour
-# split holds the intermediate data of this many fibers at a time, never
-# of all of them; the answers do not depend on it
-_BATCH_POINTS = 512
+# items per block of _staged: a long raster, contour sweep or contour
+# split holds the intermediate data of this many fibers or slices at a
+# time, never of all of them; the answers do not depend on it
+_BATCH = 512
 
 
 class FiberSolution:
@@ -141,11 +142,10 @@ def _abs_at(b, z1, z2):
     return tuple(v.real for v in _eval_bi(np.abs(b), abs(z1), abs(z2)))
 
 
-def _polish_phi(gb, phi, scale, steps=10):
-    """Newton steps on (Re g, Im g)(phi) staying exactly on the torus."""
+def _polish_phi(gb, phi, scale):
+    """At most ten Newton steps on (Re g, Im g)(phi), exactly on the torus."""
     p1, p2 = phi
-    val = None
-    for _ in range(steps):
+    for _ in range(10):
         t1, t2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
         val, g1, g2 = _eval_bi(gb, t1, t2)
         if abs(val) < 1e-15 * scale:
@@ -261,7 +261,7 @@ def _eliminate(f, w):
 
     Returns None when the fiber has no torus point without a root finder
     (a constant or univariate restriction, or a dominant coefficient),
-    else (gb, coeff_sum, res): the dense restriction, the sum of its
+    else ((gb, coeff_sum), res): the dense restriction, the sum of its
     coefficient moduli, and its resultant with the mirror g* (a
     polynomial in t1).
     """
@@ -287,7 +287,7 @@ def _eliminate(f, w):
         res = sylvester_resultant(gb, gsb)
     except IdenticallyZero as exc:
         raise DegenerateFiber("fiber shares a component with the variety") from exc
-    return gb, coeff_sum, res
+    return (gb, coeff_sum), res
 
 
 def _near_unit(clusters):
@@ -305,13 +305,14 @@ def _near_unit(clusters):
     return [cl for cl in clusters if abs(abs(cl.center) - 1.0) <= UNIT_BAND]
 
 
-def _backsub_slices(gb, coeff_sum, found):
+def _backsub_slices(state, found):
     """Merge the resultant clusters and back-substitute those near |t| = 1.
 
-    Returns (clusters, slices): the merged (center, multiplicity) pairs,
-    and a (cluster id, t1, slice in t2) triple per cluster within
-    UNIT_BAND of the unit circle.
+    Returns ((gb, coeff_sum, clusters), slices): the merged (center,
+    multiplicity) pairs, and a ((cluster id, t1), slice in t2) pair per
+    cluster within UNIT_BAND of the unit circle.
     """
+    gb, coeff_sum = state
     _near_unit(found)  # raises on an unconverged root
     clusters = _merge_near_unit(found)
     out = []
@@ -322,20 +323,21 @@ def _backsub_slices(gb, coeff_sum, found):
         slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
         if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum:
             raise DegenerateFiber("slice of the restriction vanished identically")
-        out.append((ci, t1, UniPoly(slice_c)))
-    return clusters, out
+        out.append(((ci, t1), UniPoly(slice_c)))
+    return (gb, coeff_sum, clusters), out
 
 
-def _solutions(gb, coeff_sum, clusters, slices, found):
+def _solutions(state, found):
     """Polish the torus candidates of one fiber and group them into solutions.
 
-    ``slices`` are the triples of ``_backsub_slices`` and ``found`` the
-    root clusters of each slice.  Returns (solutions, gauss_pairs) sorted
-    by phi.
+    ``state`` comes from ``_backsub_slices`` and ``found`` pairs each
+    (cluster id, t1) with the root clusters of its slice.  Returns
+    (solutions, gauss_pairs) sorted by phi.
     """
+    gb, coeff_sum, clusters = state
     tau = 2.0 * math.pi
     cands = []  # (phi, score, g1, g2, cluster_id)
-    for (ci, t1, _), roots2 in zip(slices, found):
+    for (ci, t1), roots2 in found:
         for c2 in _near_unit(roots2):
             phi0 = (cmath.phase(t1) % tau, cmath.phase(c2.center) % tau)
             phi, val, g1, g2 = _polish_phi(gb, phi0, coeff_sum)
@@ -383,54 +385,73 @@ def _solutions(gb, coeff_sum, clusters, slices, found):
     return sols, gauss
 
 
-def _fibers(f, ws):
-    """Fiber solves at many points, staged so that the root finder is batched.
+def _staged(items, eliminate, backsub, finish, errors):
+    """Solve many zero-dimensional systems in stages that batch the root finder.
 
-    The stages are: restriction, shortcut and resultant per point; one
-    batched root finder over all resultants; per point, the merge, the
-    band filter and the back-substitution slices; one batched root finder
-    over all slices; per candidate, polishing and grouping.  Returns one
+    Items go in blocks of _BATCH.  Per block, the stages are:
+    ``eliminate(item)`` per item, giving (state, polynomial in t1), or
+    None when no root finder is needed; one batched root finder over all
+    t1 polynomials; ``backsub(state, roots)`` per item, giving (state,
+    slices), a list of (head, polynomial in t2) pairs; one batched root
+    finder over all slices; ``finish(state, [(head, roots), ...])`` per
+    item.  Yields one entry per item, in order: the result of ``finish``,
+    None, or the exception of one of the ``errors`` types raised for that
+    item alone.
+    """
+    items = list(items)
+    for lo in range(0, len(items), _BATCH):
+        block = items[lo:lo + _BATCH]
+        out = [None] * len(block)
+        live = []  # (index, state, t1 polynomial)
+        for k, item in enumerate(block):
+            try:
+                elim = eliminate(item)
+            except errors as exc:
+                out[k] = exc
+                continue
+            if elim is not None:
+                live.append((k, *elim))
+
+        staged = []  # (index, state, slices)
+        for (k, state, _), found in zip(live, _roots_batch([it[2] for it in live])):
+            try:
+                staged.append((k, *backsub(state, found)))
+            except errors as exc:
+                out[k] = exc
+
+        found = iter(_roots_batch([p for it in staged for _, p in it[2]]))
+        for k, state, slices in staged:
+            mine = [(head, next(found)) for head, _ in slices]
+            try:
+                out[k] = finish(state, mine)
+            except errors as exc:
+                out[k] = exc
+        yield from out
+
+
+def _fibers(f, ws):
+    """Fiber solves at many points, through ``_staged``.
+
+    The stages are: restriction, shortcut and resultant per point; the
+    merge, the band filter and the back-substitution slices per point;
+    polishing and grouping per candidate.  Returns an iterator with one
     entry per point: (solutions, gauss_pairs) sorted by phi, or the
     DegenerateFiber or NoConvergence raised for that point alone.
     """
     if f.nvars != 2:
         raise ValueError("fiber solving is implemented for two variables")
     if not f.terms:
-        return [DegenerateFiber("zero polynomial vanishes on every fiber") for _ in ws]
+        return (DegenerateFiber("zero polynomial vanishes on every fiber") for _ in ws)
     if len(f.terms) == 1:
         raise ValueError("monomials have empty varieties in the torus")
-    out = []
-    live = []  # (point index, gb, coeff_sum, resultant)
-    for k, w in enumerate(ws):
-        out.append(([], []))
-        try:
-            elim = _eliminate(f, w)
-        except DegenerateFiber as exc:
-            out[k] = exc
-            continue
-        if elim is not None:
-            live.append((k, *elim))
-
-    staged = []  # (point index, gb, coeff_sum, clusters, slices)
-    for (k, gb, coeff_sum, _), found in zip(live, _roots_batch([it[3] for it in live])):
-        try:
-            staged.append((k, gb, coeff_sum, *_backsub_slices(gb, coeff_sum, found)))
-        except (DegenerateFiber, NoConvergence) as exc:
-            out[k] = exc
-
-    found = iter(_roots_batch([sl[2] for it in staged for sl in it[4]]))
-    for k, gb, coeff_sum, clusters, slices in staged:
-        mine = [next(found) for _ in slices]
-        try:
-            out[k] = _solutions(gb, coeff_sum, clusters, slices, mine)
-        except NoConvergence as exc:
-            out[k] = exc
-    return out
+    solved = _staged(ws, functools.partial(_eliminate, f), _backsub_slices,
+                     _solutions, (DegenerateFiber, NoConvergence))
+    return (([], []) if out is None else out for out in solved)
 
 
 def _solve_fiber(f, w):
     """Core solver at one point; returns (solutions, gauss_pairs) sorted by phi."""
-    out = _fibers(f, [w])[0]
+    out = next(_fibers(f, [w]))
     if isinstance(out, AmoebaError):
         raise out
     return out
@@ -492,18 +513,16 @@ def classify(f, w):
 def _classify_points(f, ws):
     """``classify`` at many points, yielded in order.
 
-    The fibers are solved in staged blocks of _BATCH_POINTS.  A degenerate
-    fiber tags its own point only; a NoConvergence at any point is raised.
+    A degenerate fiber tags its own point only; a NoConvergence at any
+    point is raised.
     """
-    ws = list(ws)
-    for lo in range(0, len(ws), _BATCH_POINTS):
-        for solved in _fibers(f, ws[lo:lo + _BATCH_POINTS]):
-            if isinstance(solved, DegenerateFiber):
-                yield PointClass("Degenerate")
-            elif isinstance(solved, AmoebaError):
-                raise solved
-            else:
-                yield _tag(*solved)
+    for solved in _fibers(f, ws):
+        if isinstance(solved, DegenerateFiber):
+            yield PointClass("Degenerate")
+        elif isinstance(solved, AmoebaError):
+            raise solved
+        else:
+            yield _tag(*solved)
 
 
 def _tag(sols, gauss):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NegativeExponent, Overflow, ZeroCoordinate
+from .errors import Overflow, ZeroCoordinate
 
 # exponents are kept in int32 territory; degrees past this are rejected
 MAX_DEGREE = 10**6
@@ -74,12 +74,6 @@ class LaurentPoly:
         items = ", ".join(f"{a}: {b}" for a, b in sorted(self.terms.items()))
         return f"LaurentPoly({self.nvars}, {{{items}}})"
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # -- ring operations (used mainly by the expression parser) -------------
 
     def _prune(self, terms):
@@ -120,22 +114,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            if len(self.terms) != 1:
-                raise NegativeExponent("negative powers only apply to monomials")
-            (alpha, b), = self.terms.items()
-            return LaurentPoly(self.nvars, {tuple(k * a for a in alpha): b**k})
-        out = LaurentPoly(self.nvars, {(0,) * self.nvars: 1.0})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             if other.nvars != self.nvars:
@@ -167,13 +145,6 @@ class NewtonPolytope:
     def __init__(self, vertices, normalized_volume):
         self.vertices = tuple(tuple(v) for v in vertices)
         self.normalized_volume = int(normalized_volume)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NewtonPolytope)
-            and self.vertices == other.vertices
-            and self.normalized_volume == other.normalized_volume
-        )
 
     def __repr__(self):
         return f"NewtonPolytope({self.vertices}, vol={self.normalized_volume})"

@@ -16,7 +16,7 @@ from amoebas import (
     parse_poly,
     trace_contour,
 )
-import amoebas.contour
+import amoebas.fiber
 from amoebas.contour import SkippedSlices
 
 CUBIC = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
@@ -193,7 +193,7 @@ def class_bits(pc):
     "(z1 - 2)*(1 + z1 + z2)",  # the slice at pi/2 is degenerate
 ])
 def test_batched_trace_is_the_union_of_single_slices(text, monkeypatch):
-    monkeypatch.setattr(amoebas.contour, "_BATCH_SLICES", 5)  # 12 slices in 3 sweeps
+    monkeypatch.setattr(amoebas.fiber, "_BATCH", 5)  # 12 slices in 3 blocks
     f = parse_poly(text, 2)
     n = 12
     singles, skipped = [], 0
@@ -218,11 +218,14 @@ def test_batched_trace_is_the_union_of_single_slices(text, monkeypatch):
     "z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1",
     "z1^3 + z2^3 + z1*z2 + 1",
 ])
-def test_batched_contour_split_matches_single_classify(text):
+def test_batched_contour_split_matches_single_classify(text, monkeypatch):
     f = parse_poly(text, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pts = trace_contour(f, 16)
+    # blocks of 7 points, so that the split spans several blocks
+    monkeypatch.setattr(amoebas.fiber, "_BATCH", 7)
+    assert len(pts) > 2 * 7
     parts = classify_contour(f, iter(pts))
     got = {id(p): pc for part in parts.values() for p, pc in part}
     assert len(got) == len(pts)

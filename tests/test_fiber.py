@@ -284,7 +284,7 @@ def test_unconverged_root_off_the_circle_raises(monkeypatch):
     f = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
     assert classify(f, (0.0, 0.0)).tag == "Boundary"
     monkeypatch.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
-    found = roots(amoebas.fiber._eliminate(f, (0.0, 0.0))[2])
+    found = roots(amoebas.fiber._eliminate(f, (0.0, 0.0))[1])
     assert found and not any(cl.converged for cl in found)
     assert all(abs(abs(cl.center) - 1.0) > UNIT_BAND for cl in found)
     with pytest.raises(NoConvergence):

@@ -118,6 +118,28 @@ def test_basis_verification_report():
                 assert tag != "Complement"
 
 
+def test_minimality_witnesses_from_the_fallback_walk(monkeypatch):
+    # one sample cannot serve all three members, so the witnesses come from
+    # the least-squares walk away from Log|v|
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    basis = amoeba_basis([[1.0, 2.0], [3.0, 4.0]])
+    report = verify_basis(basis, samples=1)
+    assert len(calls) == 3
+    assert sorted(report.minimality_witnesses) == [0, 1, 2]
+    for i, w in report.minimality_witnesses.items():
+        assert w != basis.log_point
+        tags = [linear_classify(g, w)[0] for g in basis.polys]
+        assert tags[i] == "Complement"
+        assert all(tag != "Complement" for k, tag in enumerate(tags) if k != i)
+
+
 def test_removing_a_member_breaks_the_point_intersection():
     basis = amoeba_basis([[0.5, 0.5], [2.0, -1.0]])
     report = verify_basis(basis, samples=500)

@@ -137,7 +137,7 @@ def test_batched_raster_matches_single_classify(k, monkeypatch):
         window = (tuple(lo), tuple(lo + rng.uniform(1.0, 3.0, 2)))
     f = parse_poly(text, 2)
     # blocks of 10 cells, so that the 81 cells span several blocks
-    monkeypatch.setattr(amoebas.fiber, "_BATCH_POINTS", 10)
+    monkeypatch.setattr(amoebas.fiber, "_BATCH", 10)
     betti, tags = amoeba_grids(f, window, (9, 9))
     xs, ys = betti.centers()
     seen = set()
