@@ -144,8 +144,9 @@ def _res_arg(text):
 
 def _positive_float(text):
     v = float(text)
-    if v <= 0:
-        raise ValueError("must be positive")
+    # the sampling box spans 2 * v, which must stay a finite float
+    if not (v > 0 and math.isfinite(2.0 * v)):
+        raise ValueError("must be positive and finite")
     return v
 
 

@@ -269,19 +269,42 @@ def amoeba_basis(sys):
 # --------------------------------------------------------------------------
 
 _VERIFY_SEED = 8675309
+_TAGS = ("Complement", "Boundary", "Interior")
+_COMPLEMENT, _BOUNDARY, _INTERIOR = range(3)
 
 
-def _minimality_witness(basis, i, pool):
-    """A point inside every amoeba except the i-th, or None."""
-    others = [g for k, g in enumerate(basis.polys) if k != i]
-    g_i = basis.polys[i]
-    for w in pool:
-        if linear_classify(g_i, w)[0] != "Complement":
-            continue
-        if all(linear_classify(g, w)[0] != "Complement" for g in others):
-            return tuple(w)
-    # deterministic fallback: walk from Log|v| along the direction that
-    # increases the i-th dominance gap and decreases all the others
+def _linear_tags(g, W):
+    """Tag codes (indices into _TAGS) of linear_classify(g, w) for each row w of W.
+
+    One array pass computes the dominance gaps v_j - rest_j of every row.
+    numpy's log, exp and sum may differ from the math.log, math.exp and
+    math.fsum of linear_classify in the last bits, so a row is decided here
+    only when every gap and its modulus are more than 1e-12 away from the
+    1e-9 band edge; the rows left over go to linear_classify itself, which
+    stays the one definition of a verdict.
+    """
+    logb = [math.log(abs(bj)) if bj != 0 else -math.inf for bj in _linear_parts(g)]
+    logr = np.zeros((W.shape[0], W.shape[1] + 1))
+    logr[:, 1:] = W + logb
+    vals = np.exp(logr - logr.max(axis=1, keepdims=True))
+    gap = vals - (vals.sum(axis=1, keepdims=True) - vals)  # v_j - rest_j
+    tags = np.where(
+        (gap > _EQUALITY_TOL).any(axis=1),
+        _COMPLEMENT,
+        np.where((np.abs(gap) <= _EQUALITY_TOL).any(axis=1), _BOUNDARY, _INTERIOR),
+    )
+    unsure = ~(np.abs(np.abs(gap) - _EQUALITY_TOL) > 1e-12).all(axis=1)
+    for r in np.flatnonzero(unsure):
+        tags[r] = _TAGS.index(linear_classify(g, W[r].tolist())[0])
+    return tags
+
+
+def _walk_witness(basis, i):
+    """A point off Log|v| inside every amoeba except the i-th, or None.
+
+    Walks from Log|v| along the direction that increases the i-th
+    dominance gap and decreases all the others.
+    """
     n = len(basis.witness)
     w_star = list(basis.log_point)
     rows = []
@@ -301,6 +324,7 @@ def _minimality_witness(basis, i, pool):
     if norm == 0.0:
         return None
     d = sol / norm
+    g_i = basis.polys[i]
     for eps in (1e-3, 1e-2, 1e-1, 0.3, 1.0):
         w = tuple(w_star[j] + eps * float(d[j]) for j in range(n))
         if linear_classify(g_i, w)[0] == "Complement" and all(
@@ -323,14 +347,20 @@ def verify_basis(basis, samples=10000, box=2.0):
     breaks the intersection long before sampling can see it.
 
     Axiom 2 (minimality): for every i a witness point is produced that
-    lies in all member amoebas except the i-th.
+    lies in all member amoebas except the i-th: the first sample, in draw
+    order, outside the i-th member only, or else a point of a
+    least-squares walk away from Log|v|.
 
     Axiom 3 (generation): the affine coefficient rows (1, b_j1, .., b_jn)
     span a rank-n space, which for linear ideals means the members
     generate the same ideal as the original system.
 
-    Returns a BasisReport on success and raises AxiomFailure otherwise.
-    The sample stream is seeded, so the verdict is deterministic.
+    The samples are tagged in one array pass per member (_linear_tags),
+    which hands the rows within 1e-12 of the 1e-9 equality band to
+    linear_classify, so every verdict is the one linear_classify gives.
+    Returns a BasisReport on success and raises AxiomFailure otherwise,
+    with the first failing sample in draw order as its witness.  The
+    sample stream is seeded, so the verdict is deterministic.
     """
     n = len(basis.witness)
     w_star = basis.log_point
@@ -353,23 +383,23 @@ def verify_basis(basis, samples=10000, box=2.0):
 
     rng = np.random.default_rng(_VERIFY_SEED)
     draws = rng.uniform(-box, box, size=(int(samples), n))
-    escapes = 0
-    pool = []
-    for row in draws:
-        w = tuple(w_star[j] + float(row[j]) for j in range(n))
-        pool.append(w)
-        if any(linear_classify(g, w)[0] == "Complement" for g in basis.polys):
-            escapes += 1
-        elif max(abs(float(row[j])) for j in range(n)) > 1e-9:
-            raise AxiomFailure(
-                "axiom 1: a sampled point off Log|v| lies in every member amoeba",
-                axiom=1,
-                witness=w,
-            )
+    W = np.asarray(w_star) + draws
+    outside = np.stack([_linear_tags(g, W) for g in basis.polys], axis=1) == _COMPLEMENT
+    escaped = outside.any(axis=1)
+    stuck = np.flatnonzero(~escaped & (np.abs(draws).max(axis=1) > 1e-9))
+    if stuck.size:
+        raise AxiomFailure(
+            "axiom 1: a sampled point off Log|v| lies in every member amoeba",
+            axiom=1,
+            witness=tuple(W[stuck[0]].tolist()),
+        )
+    escapes = int(escaped.sum())
 
     witnesses = {}
+    alone = outside.sum(axis=1) == 1
     for i in range(len(basis.polys)):
-        w = _minimality_witness(basis, i, pool)
+        first = np.flatnonzero(alone & outside[:, i])
+        w = tuple(W[first[0]].tolist()) if first.size else _walk_witness(basis, i)
         if w is None:
             raise AxiomFailure(
                 f"axiom 2: no point found in the intersection without member {i}",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IdenticallyZero, SingularMatrix
+from .errors import IdenticallyZero, NoConvergence, SingularMatrix
 
 EPS = 2.0**-53
 
@@ -447,6 +447,9 @@ def sylvester_resultant(g, h):
     IdenticallyZero
         If every sampled determinant is below 1e-12 times its Hadamard
         bound (the two curves share a component).
+    NoConvergence
+        If the interpolated resultant misses the direct determinant at the
+        probe point by 1e-6 (relative) or more at all three radii.
     """
     gb = np.asarray(g, dtype=complex)
     hb = np.asarray(h, dtype=complex)
@@ -458,7 +461,7 @@ def sylvester_resultant(g, h):
     kk = dd + 1
     probe = 0.83 + 0.31j
 
-    best = None
+    errs = []
     for rho in (1.0, 0.7, 1.3):
         nodes = rho * np.exp(2j * np.pi * np.arange(kk) / kk)
         vand = nodes[:, None] ** np.arange(gb.shape[0])
@@ -477,12 +480,14 @@ def sylvester_resultant(g, h):
         dref, habs = _sylvester_batch(pa[None, :], pb[None, :])
         ref = dref[0]
         val = _horner(coeffs, probe)
-        err = abs(val - ref) / max(abs(ref), habs[0] * 1e-8, 1e-300)
-        if best is None or err < best[0]:
-            best = (err, coeffs)
-        if err < 1e-6:
+        errs.append(abs(val - ref) / max(abs(ref), habs[0] * 1e-8, 1e-300))
+        if errs[-1] < 1e-6:
             break
-    coeffs = best[1]
+    else:
+        raise NoConvergence(
+            "resultant interpolation failed its probe self-check at every radius "
+            f"(relative errors {', '.join(f'{e:.3g}' for e in errs)})"
+        )
     cap = float(np.max(np.abs(coeffs)))
     keep = coeffs.size
     while keep > 1 and abs(coeffs[keep - 1]) < 1e-10 * cap:

@@ -5,6 +5,8 @@ own grid sweeps and Newton iterations, so the code under test never judges
 itself.
 """
 
+import math
+
 import numpy as np
 
 
@@ -70,3 +72,29 @@ def eval_at_phases(terms, w, phi):
     scaled /= np.max(np.abs(scaled))
     e = scaled * np.exp(1j * (al[:, 0] * phi[0] + al[:, 1] * phi[1]))
     return complex(e.sum())
+
+
+def linear_tag(terms, w):
+    """Tag of w against the amoeba of a linear polynomial c0 + sum c_j z_j.
+
+    The exact rule in scalar arithmetic: with b_j = c_j / c0, term moduli
+    r_0 = 1 and r_j = |b_j| e^(w_j), scaled by their maximum, w is
+    Complement when some r_j exceeds the sum of the others by more than
+    1e-9, Boundary when some r_j is within 1e-9 of that sum, and Interior
+    otherwise.
+    """
+    terms = list(terms)
+    const = next(c for a, c in terms if not any(a))
+    b = [0j] * len(w)
+    for a, c in terms:
+        if any(a):
+            b[a.index(1)] = c / const
+    logr = [math.log(abs(bj)) + wj if bj != 0 else -math.inf for bj, wj in zip(b, w)]
+    cap = max(0.0, max(logr))
+    vals = [math.exp(-cap)] + [math.exp(lr - cap) for lr in logr]
+    total = math.fsum(vals)
+    if any(v > (total - v) + 1e-9 for v in vals):
+        return "Complement"
+    if any(abs(v - (total - v)) <= 1e-9 for v in vals):
+        return "Boundary"
+    return "Interior"

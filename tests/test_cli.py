@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import amoebas.numeric as numeric
 from amoebas.cli import main
 
 CUBIC = "z1^3 + z2^3 + z1*z2 + 1"
@@ -140,6 +141,21 @@ def test_unconverged_root_is_exit_4(capsys, monkeypatch):
         assert err.startswith("error: root finder did not converge")
 
 
+def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
+    real = numeric._sylvester_batch
+
+    def skewed(av, bv):
+        # the probe determinant (a batch of one) disagrees with every interpolant
+        dets, had = real(av, bv)
+        return (2.0 * dets if len(av) == 1 else dets), had
+
+    monkeypatch.setattr(numeric, "_sylvester_batch", skewed)
+    code, out, err = run(capsys, "classify", "--poly", CUBIC, "--point", "0,0")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: resultant interpolation failed its probe self-check")
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -153,9 +169,13 @@ def test_unconverged_root_is_exit_4(capsys, monkeypatch):
         (("contour", "--poly", CUBIC, "--slices", "0"), 2),
         (("boundary", "--poly", CUBIC, "--slices", "0"), 2),
         (("basis", "--linear", "1,2;3,4", "--samples", "-1"), 2),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "nan"), 2),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "inf"), 2),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "1e308"), 2),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
-         "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples"],
+         "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
+         "nan-box", "inf-box", "huge-box"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, argv, expected):
     try:

@@ -27,6 +27,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CUBIC = "z1^3 + z2^3 + z1*z2 + 1"
 CUBIC13 = "z1^3 + z2^3 + 1.3*z1*z2 + 1"
 HARNACK = "z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1"
+SYS3 = ("0.370769-0.478526i,-1.149783+0.853415i,-0.201929-0.719517i;"
+        "0.495562-0.152346i,-0.237374-0.560696i,-0.480229+0.643087i;"
+        "-1.226668+0.167826i,0.346062-0.627983i,0.063783-1.334861i")
 
 # name -> (argv, files the command writes)
 CASES = {
@@ -50,6 +53,7 @@ CASES = {
         ["tags.svg"],
     ),
     "basis": (["basis", "--linear", "0.5,0.5;2,-1"], []),
+    "basis_3x3": (["basis", "--linear=" + SYS3], []),
 }
 
 

@@ -18,9 +18,18 @@ from amoebas import (
     parse_poly,
     verify_basis,
 )
+from amoebas import linear
 from amoebas.laurent import LaurentPoly
+from oracles import linear_tag
 
 F = parse_poly("1 + 2*z1 + 3*z2", 2)
+REFERENCE = [[0.5, 0.5], [2.0, -1.0]]
+# the 3x3 system of the benchmark's seed 3, also a golden example
+SYS3 = [
+    [0.370769 - 0.478526j, -1.149783 + 0.853415j, -0.201929 - 0.719517j],
+    [0.495562 - 0.152346j, -0.237374 - 0.560696j, -0.480229 + 0.643087j],
+    [-1.226668 + 0.167826j, 0.346062 - 0.627983j, 0.063783 - 1.334861j],
+]
 
 
 def test_classify_dominant_variable_term():
@@ -203,3 +212,94 @@ def test_boundary_equality_holds_at_the_log_point():
     w = basis.log_point
     for g in basis.polys:
         assert linear_classify(g, w)[0] == "Boundary"
+
+
+def _lead_points(g, gaps, rng):
+    """Points where one term modulus of g leads the sum of the others by each gap.
+
+    The gap is on the moduli scaled by their maximum, as in the 1e-9 band
+    of linear_classify; every term with a coefficient leads in turn.
+    """
+    n = g.nvars
+    const = g.terms[(0,) * n]
+    b = [abs(g.terms.get(tuple(int(i == k) for i in range(n)), 0) / const) for k in range(n)]
+    live = [k for k in range(n) if b[k] > 0]
+    pts = []
+    for lead in [None] + live:
+        others = [k for k in live if k != lead]
+        for gap in gaps:
+            w = rng.uniform(-1.0, 1.0, n)
+            if lead is None:
+                top, share = 1.0, 1.0 - gap
+            elif others:
+                top = rng.uniform(2.0, 4.0)
+                share = top * (1.0 - gap) - 1.0
+            else:
+                top, share = 1.0 / (1.0 - gap), 0.0
+            if lead is not None:
+                w[lead] = math.log(top / b[lead])
+            for k, p in zip(others, rng.dirichlet(np.ones(len(others)))):
+                w[k] = math.log(p * share / b[k])
+            pts.append(w)
+    return np.array(pts)
+
+
+# gaps within 1e-12 of the 1e-9 band edges, most within a few ulps of them
+# where numpy and math arithmetic can disagree, and just outside that guard band
+GUARDED = [s * 1e-9 + d for s in (1, -1)
+           for d in (-4e-13, *(k * 1e-16 for k in range(-4, 5)), 4e-13)]
+UNGUARDED = [0.0] + [s * 1e-9 + d for s in (1, -1) for d in (-3e-12, 3e-12)]
+
+
+@pytest.mark.parametrize("matrix", [REFERENCE, [[1.0, 2.0], [3.0, 4.0]], SYS3],
+                         ids=["2x2", "2x2-real", "3x3"])
+def test_array_tags_match_the_scalar_oracle(monkeypatch, matrix):
+    rng = np.random.default_rng(20261018)
+    basis = amoeba_basis(matrix)
+    n = len(basis.witness)
+    handed = []
+    real = linear.linear_classify
+    monkeypatch.setattr(linear, "linear_classify", lambda g, w: handed.append(w) or real(g, w))
+    seen = set()
+    for g in basis.polys + (parse_poly("1 + 2*z1", n),):
+        guarded = _lead_points(g, GUARDED, rng)
+        W = np.vstack([
+            np.asarray(basis.log_point) + rng.uniform(-3.0, 3.0, (2000, n)),
+            _lead_points(g, UNGUARDED, rng),
+            guarded,
+        ])
+        handed.clear()
+        got = [linear._TAGS[t] for t in linear._linear_tags(g, W)]
+        assert got == [linear_tag(g.terms.items(), w) for w in W.tolist()]
+        # the rows in the guard band, and only those, go to linear_classify
+        assert handed == guarded.tolist()
+        seen.update(got)
+    assert seen == {"Complement", "Boundary", "Interior"}
+
+
+@pytest.mark.parametrize("matrix", [REFERENCE, SYS3], ids=["2x2", "3x3"])
+def test_verify_basis_makes_no_per_sample_scalar_call(monkeypatch, matrix):
+    basis = amoeba_basis(matrix)
+    calls = []
+    real = linear.linear_classify
+    monkeypatch.setattr(linear, "linear_classify", lambda g, w: calls.append(w) or real(g, w))
+    report = verify_basis(basis, samples=10000)
+    assert report.escapes == 10000
+    # the Log|v| check of each member; no sample falls in the guard band
+    assert calls == [basis.log_point] * len(basis.polys)
+
+
+def test_removed_member_fails_axiom_one_at_the_first_sample_inside_the_rest():
+    basis = amoeba_basis(REFERENCE)
+    rest = basis.polys[1:]
+    with pytest.raises(AxiomFailure) as err:
+        verify_basis(AmoebaBasis(rest, basis.witness))
+    assert err.value.axiom == 1
+    draws = np.random.default_rng(linear._VERIFY_SEED).uniform(-2.0, 2.0, (10000, 2))
+    first = next(
+        tuple(w) for w in (np.asarray(basis.log_point) + draws).tolist()
+        if all(linear_tag(g.terms.items(), w) != "Complement" for g in rest)
+    )
+    assert err.value.witness == first
+    # as recorded with the per-sample loop that the array pass replaced
+    assert err.value.witness == (-1.3951937324820372, -0.6562189091968573)

@@ -14,6 +14,7 @@ import pytest
 
 from amoebas import (
     IdenticallyZero,
+    NoConvergence,
     RootCluster,
     SingularMatrix,
     UniPoly,
@@ -455,6 +456,24 @@ def test_sylvester_shared_component_raises():
     g = bi_mul(shared, np.array([[1.0, 1.0]]))     # * (t2 + 1)
     h = bi_mul(shared, np.array([[-2.0, 1.0]]))    # * (t2 - 2)
     with pytest.raises(IdenticallyZero):
+        sylvester_resultant(g, h)
+
+
+def test_sylvester_failed_self_check_at_every_radius_raises(monkeypatch):
+    g = np.zeros((3, 3), dtype=complex)
+    g[0, 0], g[2, 0], g[0, 2] = -1.0, 1.0, 1.0
+    h = np.array([[0.5, 1.0], [1.0, 0.0]])
+    sylvester_resultant(g, h)
+    real = numeric._sylvester_batch
+
+    def skewed(av, bv):
+        # the probe is the only batch of one row (the nodes number D + 1 = 5),
+        # so its determinant disagrees with the interpolant at every radius
+        dets, had = real(av, bv)
+        return (2.0 * dets if len(av) == 1 else dets), had
+
+    monkeypatch.setattr(numeric, "_sylvester_batch", skewed)
+    with pytest.raises(NoConvergence, match="self-check at every radius"):
         sylvester_resultant(g, h)
 
 
