@@ -111,7 +111,8 @@ def _eliminate(curve, theta):
     ``curve`` is (gb, G1, G2): the dense cleared f and its two logarithmic
     Gauss numerators.  The t1 polynomial is the Sylvester resultant of g
     and h in z2, or the z2-free h itself when the Gauss combination lost
-    its z2 dependence.
+    its z2 dependence.  Every exponent of the combination is one of f's,
+    so a z2-free f always takes the second way.
     """
     gb, lg1, lg2 = curve
     st, ct = math.sin(theta), math.cos(theta)
@@ -130,10 +131,6 @@ def _eliminate(curve, theta):
     hb = _dense(h)
     if hb.shape[1] == 1:
         return (gb, hb, theta), UniPoly(hb[:, 0])
-    if gb.shape[1] == 1:
-        # f is free of z2 but the combination is not; cannot happen for a
-        # cleared f because then z2 df/dz2 vanishes identically
-        raise DegenerateSlice("variety is a union of coordinate lines")
     try:
         return (gb, hb, theta), sylvester_resultant(gb, hb)
     except IdenticallyZero as exc:
@@ -259,6 +256,8 @@ def contour_slice(f, theta):
     ------
     DegenerateSlice
         When the slice system is not zero-dimensional at this angle.
+    NoConvergence
+        If a resultant or back-substitution root did not converge.
     """
     out = next(_sweep(f, [theta]))
     if isinstance(out, DegenerateSlice):
@@ -275,6 +274,7 @@ def trace_contour(f, n_slices):
     through a SkippedSlices warning.  The pooled cloud is deduplicated on the pair
     (w rounded to a 1e-9 grid, s_param), so the same log-point is kept
     once per fold direction, and returned sorted by (w, s_param).
+    NoConvergence in any slice is raised, not skipped.
     """
     n_slices = int(n_slices)
     if n_slices < 1:

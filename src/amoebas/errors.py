@@ -81,8 +81,7 @@ class NotLinear(AmoebaError):
 class AxiomFailure(AmoebaError):
     """A basis verification axiom failed; carries the axiom id and a witness."""
 
-    def __init__(self, message, axiom=None, witness=None, report=None):
+    def __init__(self, message, axiom=None, witness=None):
         super().__init__(message)
         self.axiom = axiom
         self.witness = witness
-        self.report = report

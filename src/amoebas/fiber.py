@@ -26,7 +26,8 @@ from .errors import (
     NoConvergence,
 )
 from .laurent import _term_log_moduli, fiber_restrict, monomial_clear
-from .numeric import UniPoly, _roots_batch, roots, sylvester_resultant
+from .numeric import UniPoly, _roots_batch, sylvester_resultant
+from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
 FIBER_TAGS = ("Complement", "Interior", "ContourInterior", "Boundary", "Degenerate")
 
@@ -201,23 +202,18 @@ def _direction(g1, g2):
 # the fiber solver
 # --------------------------------------------------------------------------
 
-def _univariate_fiber(g, axis):
-    """Check a restriction that involves only one torus variable.
+def _converged(clusters):
+    """The one trust test for a root set: NoConvergence unless every cluster converged.
 
-    Such a fiber has no isolated torus point: it misses the variety, or
-    meets it in full circles when the restriction has a unit root, which
-    raises DegenerateFiber.
+    An unconverged cluster raises wherever it stopped: it is not where it
+    would converge to, so it may belong where the caller looks.
     """
-    d = g.degree_span(axis)[1]
-    coeffs = np.zeros(d + 1, dtype=complex)
-    for alpha, c in g.terms.items():
-        coeffs[alpha[axis]] += c
-    for cl in roots(UniPoly(coeffs)):
-        if abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL:
-            raise DegenerateFiber(
-                "restriction is univariate with a unit root: the fiber meets "
-                "the variety in full circles"
+    for cl in clusters:
+        if not cl.converged:
+            raise NoConvergence(
+                f"root finder did not converge at a root of modulus {abs(cl.center):.6f}"
             )
+    return clusters
 
 
 def _merge_near_unit(clusters):
@@ -260,23 +256,18 @@ def _eliminate(f, w):
     """Restriction, lopsided shortcut and resultant of the fiber over w.
 
     Returns None when the fiber has no torus point without a root finder
-    (a constant or univariate restriction, or a dominant coefficient),
-    else ((gb, coeff_sum), res): the dense restriction, the sum of its
-    coefficient moduli, and its resultant with the mirror g* (a
-    polynomial in t1).
+    (a constant restriction, or a dominant coefficient), else (state, p):
+    (None, the restriction) when it has one torus variable only, or
+    ((gb, coeff_sum), its resultant with the mirror g*, in t1), with the
+    dense restriction and the sum of its coefficient moduli.
     """
     g, _ = fiber_restrict(f, w)
-    g, _ = monomial_clear(g)
-    d1 = g.degree_span(0)[1]
-    d2 = g.degree_span(1)[1]
-    if d1 == 0 or d2 == 0:
-        # a nonzero constant, or a restriction in one torus variable
-        if d1 or d2:
-            _univariate_fiber(g, 0 if d2 == 0 else 1)
+    gb = _dense(monomial_clear(g)[0])
+    if gb.size == 1:
         return None
+    if 1 in gb.shape:
+        return None, UniPoly(gb.ravel())
 
-    gb = _dense(g)
-    gsb = np.conj(gb)[::-1, ::-1]
     mods = np.abs(gb)
     coeff_sum = float(mods.sum())
     # lopsided shortcut: one coefficient outweighing the rest rules out
@@ -284,25 +275,10 @@ def _eliminate(f, w):
     if 2.0 * float(mods.max()) > coeff_sum * (1.0 + 1e-9):
         return None
     try:
-        res = sylvester_resultant(gb, gsb)
+        res = sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
     except IdenticallyZero as exc:
         raise DegenerateFiber("fiber shares a component with the variety") from exc
     return (gb, coeff_sum), res
-
-
-def _near_unit(clusters):
-    """The clusters within UNIT_BAND of |t| = 1; an unconverged one raises.
-
-    Any unconverged cluster raises, wherever it stopped: it is not where
-    it would converge to, so it may belong in the band.  Non-finite
-    centers fall outside the band.
-    """
-    for cl in clusters:
-        if not cl.converged:
-            raise NoConvergence(
-                f"root finder did not converge at |t| = {abs(cl.center):.6f}"
-            )
-    return [cl for cl in clusters if abs(abs(cl.center) - 1.0) <= UNIT_BAND]
 
 
 def _backsub_slices(state, found):
@@ -310,10 +286,16 @@ def _backsub_slices(state, found):
 
     Returns ((gb, coeff_sum, clusters), slices): the merged (center,
     multiplicity) pairs, and a ((cluster id, t1), slice in t2) pair per
-    cluster within UNIT_BAND of the unit circle.
+    cluster within UNIT_BAND of the unit circle.  A univariate restriction
+    (state None) has no isolated torus point, and a root of it within
+    UNIT_ROOT_TOL of |t| = 1 means full circles: DegenerateFiber.
     """
+    if state is None:
+        if any(abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL for cl in found):
+            raise DegenerateFiber("restriction is univariate with a unit root: "
+                                  "the fiber meets the variety in full circles")
+        return (None, 0.0, []), []
     gb, coeff_sum = state
-    _near_unit(found)  # raises on an unconverged root
     clusters = _merge_near_unit(found)
     out = []
     for ci, (t1, _) in enumerate(clusters):
@@ -338,7 +320,7 @@ def _solutions(state, found):
     tau = 2.0 * math.pi
     cands = []  # (phi, score, g1, g2, cluster_id)
     for (ci, t1), roots2 in found:
-        for c2 in _near_unit(roots2):
+        for c2 in (c for c in roots2 if abs(abs(c.center) - 1.0) <= UNIT_BAND):
             phi0 = (cmath.phase(t1) % tau, cmath.phase(c2.center) % tau)
             phi, val, g1, g2 = _polish_phi(gb, phi0, coeff_sum)
             if not (abs(val) <= RESIDUAL_REL * coeff_sum):
@@ -394,9 +376,10 @@ def _staged(items, eliminate, backsub, finish, errors):
     t1 polynomials; ``backsub(state, roots)`` per item, giving (state,
     slices), a list of (head, polynomial in t2) pairs; one batched root
     finder over all slices; ``finish(state, [(head, roots), ...])`` per
-    item.  Yields one entry per item, in order: the result of ``finish``,
-    None, or the exception of one of the ``errors`` types raised for that
-    item alone.
+    item.  Every root set passes ``_converged`` before a stage reads it.
+    Yields one entry per item, in order: the result of ``finish``, None,
+    or the exception of one of the ``errors`` types raised for that item
+    alone.
     """
     items = list(items)
     for lo in range(0, len(items), _BATCH):
@@ -415,7 +398,7 @@ def _staged(items, eliminate, backsub, finish, errors):
         staged = []  # (index, state, slices)
         for (k, state, _), found in zip(live, _roots_batch([it[2] for it in live])):
             try:
-                staged.append((k, *backsub(state, found)))
+                staged.append((k, *backsub(state, _converged(found))))
             except errors as exc:
                 out[k] = exc
 
@@ -423,7 +406,7 @@ def _staged(items, eliminate, backsub, finish, errors):
         for k, state, slices in staged:
             mine = [(head, next(found)) for head, _ in slices]
             try:
-                out[k] = finish(state, mine)
+                out[k] = finish(state, [(head, _converged(r)) for head, r in mine])
             except errors as exc:
                 out[k] = exc
         yield from out
@@ -559,13 +542,16 @@ def order(f, w):
     z_j = u and the other coordinates frozen on their circles, i.e. the
     number of zeros inside |u| < e^{w_j} minus the pole order at the
     origin.  Each entry is recomputed at _ORDER_SAMPLES angle draws (fixed
-    seed, so the result is deterministic) and must agree.
+    seed, so the result is deterministic) and must agree.  All n x
+    _ORDER_SAMPLES slices go through one batched root finder.
 
     Raises
     ------
     InconsistentOrder
         If the draws disagree; w is too close to the amoeba for the slice
         count to be stable.
+    NoConvergence
+        If a slice root did not converge.
     Overflow
         If w is non-finite or some log term modulus is not representable.
     """
@@ -573,13 +559,12 @@ def order(f, w):
     w = [float(v) for v in w]
     items = sorted(f.terms.items())
     rng = np.random.default_rng(_ORDER_SEED)
-    out = []
+    lows, polys = [], []  # per slice, j-major: lowest power of u, polynomial
     for j in range(n):
         # log-scale normalization shared by every slice coefficient; z_j is
         # the slice variable, so its coordinate drops out of the moduli
         logs = _term_log_moduli(items, [0.0 if k == j else w[k] for k in range(n)])
         cap = max(logs)
-        seen = set()
         for _ in range(_ORDER_SAMPLES):
             theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
             slice_terms = {}
@@ -588,17 +573,22 @@ def order(f, w):
                 rot = cmath.exp(1j * math.fsum(alpha[k] * theta[k] for k in range(n) if k != j))
                 c = phase * rot * math.exp(m - cap)
                 slice_terms[alpha[j]] = slice_terms.get(alpha[j], 0j) + c
-            m_min = min(slice_terms)
-            m_max = max(slice_terms)
-            coeffs = np.zeros(m_max - m_min + 1, dtype=complex)
+            low = min(slice_terms)
+            coeffs = np.zeros(max(slice_terms) - low + 1, dtype=complex)
             for mm, c in slice_terms.items():
-                coeffs[mm - m_min] = c
+                coeffs[mm - low] = c
+            lows.append(low)
+            polys.append(coeffs)
+    found = _roots_batch(polys)
+    out = []
+    for j in range(n):
+        try:
             radius = math.exp(w[j])
-            count = 0
-            for cl in roots(UniPoly(coeffs)):
-                if abs(cl.center) < radius:
-                    count += cl.multiplicity
-            seen.add(m_min + count)
+        except OverflowError:  # every converged root is finite, so inside
+            radius = math.inf
+        mine = slice(j * _ORDER_SAMPLES, (j + 1) * _ORDER_SAMPLES)
+        seen = {low + sum(cl.multiplicity for cl in _converged(cls) if abs(cl.center) < radius)
+                for low, cls in zip(lows[mine], found[mine])}
         if len(seen) != 1:
             raise InconsistentOrder(
                 f"winding count for variable {j+1} varies across angles: {sorted(seen)}"

@@ -271,7 +271,10 @@ def _term_log_moduli(items, w):
         raise Overflow("w must be finite")
     logs = []
     for alpha, b in items:
-        m = math.log(abs(b)) + math.fsum(a * v for a, v in zip(alpha, w))
+        try:
+            m = math.log(abs(b)) + math.fsum(a * v for a, v in zip(alpha, w))
+        except OverflowError:  # fsum's "intermediate overflow"
+            m = math.inf
         if not math.isfinite(m):
             raise Overflow(f"<alpha, w> overflows for alpha={alpha}")
         logs.append(m)

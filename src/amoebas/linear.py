@@ -360,8 +360,11 @@ def verify_basis(basis, samples=10000, box=2.0):
     linear_classify, so every verdict is the one linear_classify gives.
     Returns a BasisReport on success and raises AxiomFailure otherwise,
     with the first failing sample in draw order as its witness.  The
-    sample stream is seeded, so the verdict is deterministic.
+    sample stream is seeded, so the verdict is deterministic.  Raises
+    ValueError unless ``box`` is positive with 2 * box a finite float.
     """
+    if not (box > 0 and math.isfinite(2.0 * box)):
+        raise ValueError("box must be positive, with 2 * box finite")
     n = len(basis.witness)
     w_star = basis.log_point
     v = basis.witness

@@ -130,15 +130,24 @@ def test_degenerate_fiber_is_exit_3(capsys):
     assert "error:" in err
 
 
-def test_unconverged_root_is_exit_4(capsys, monkeypatch):
+def test_unconverged_root_is_exit_4(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("amoebas.numeric.ABERTH_SWEEPS", 1)
-    # one sweep leaves unconverged resultant roots within the unit band for
-    # 1 + z1 + z2, and only outside it for the cubic
-    for poly in ("1 + z1 + z2", CUBIC):
-        code, out, err = run(capsys, "classify", "--poly", poly, "--point", "0,0")
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: root finder did not converge")
+    image = tmp_path / "betti.ppm"
+    table = [
+        # one sweep leaves unconverged resultant roots within the unit band
+        # for 1 + z1 + z2, and only outside it for the cubic
+        ("classify", "--poly", "1 + z1 + z2", "--point", "0,0"),
+        ("classify", "--poly", CUBIC, "--point", "0,0"),
+        ("order", "--poly", CUBIC, "--point", "3,0.5"),
+        ("contour", "--poly", CUBIC, "--slices", "8"),
+        ("boundary", "--poly", CUBIC, "--slices", "8"),
+        ("betti", "--poly", CUBIC, "--res", "3,3", "--output", str(image)),
+    ]
+    for argv in table:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("error: root finder did not converge"), argv
+    assert not image.exists()
 
 
 def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
@@ -172,10 +181,14 @@ def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
         (("basis", "--linear", "0.5,0.5;2,-1", "--box", "nan"), 2),
         (("basis", "--linear", "0.5,0.5;2,-1", "--box", "inf"), 2),
         (("basis", "--linear", "0.5,0.5;2,-1", "--box", "1e308"), 2),
+        (("lopsided", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
+        (("member", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
+        (("classify", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
-         "nan-box", "inf-box", "huge-box"],
+         "nan-box", "inf-box", "huge-box", "lopsided-overflow", "member-overflow",
+         "classify-overflow"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, argv, expected):
     try:
@@ -188,6 +201,18 @@ def test_parsed_but_invalid_query_is_an_exit_code(capsys, argv, expected):
     assert code == expected
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_order_beyond_the_exponential_range(capsys):
+    # e^800 overflows a float; every slice root lies inside that radius,
+    # and the order is the dominant vertex, as the lopsided certificate says
+    poly, point = "z1*z2 + 1 + z1", "800,-800"
+    code, out, _ = run(capsys, "classify", "--poly", poly, "--point", point)
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["tag"], obj["order"]) == ("Complement", [1, 0])
+    code, out, _ = run(capsys, "lopsided", "--poly", poly, "--point", point)
+    assert json.loads(out)["alpha"] == [1, 0]
 
 
 def test_singular_basis_matrix_is_exit_3(capsys):

@@ -14,8 +14,12 @@ from amoebas import (
     LaurentPoly,
     NoConvergence,
     Overflow,
+    amoeba_grids,
     classify,
+    classify_contour,
+    contour_slice,
     evaluate,
+    fiber_restrict,
     fiber_solutions,
     log_gauss_numerator,
     lopsided,
@@ -23,6 +27,7 @@ from amoebas import (
     order,
     parse_poly,
     roots,
+    trace_contour,
 )
 from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _dense, _eval_bi, _score, _solve_fiber
 
@@ -168,17 +173,17 @@ def test_dense_evaluator_matches_sparse_evaluation():
 
 
 def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
-    # record every elimination and univariate solve; a fiber decided
-    # without either was decided by the dominance shortcut
+    # record what every elimination returns; a fiber whose restriction is
+    # not constant and that needs no root finder (None) was decided by the
+    # dominance shortcut
     calls = []
-    for name in ("sylvester_resultant", "_univariate_fiber"):
-        original = getattr(amoebas.fiber, name)
+    original = amoebas.fiber._eliminate
 
-        def recorded(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+    def recorded(f, w):
+        calls.append(original(f, w))
+        return calls[-1]
 
-        monkeypatch.setattr(amoebas.fiber, name, recorded)
+    monkeypatch.setattr(amoebas.fiber, "_eliminate", recorded)
     rng = random.Random(99)
     shortcuts = 0
     for k in range(400):
@@ -206,8 +211,9 @@ def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
             sols, _ = _solve_fiber(f, w)
         except DegenerateFiber:
             continue
-        if not sols and not calls:
+        if calls == [None] and len(fiber_restrict(f, w)[0].terms) > 1:
             shortcuts += 1
+            assert not sols
             assert lopsided(f, w) is not None, (dict(f.terms), w)
     assert shortcuts > 100
 
@@ -291,6 +297,38 @@ def test_unconverged_root_off_the_circle_raises(monkeypatch):
         fiber_solutions(f, (0.0, 0.0))
     with pytest.raises(NoConvergence):
         classify(f, (0.0, 0.0))
+
+
+CUBIC = "z1^3 + z2^3 + z1*z2 + 1"
+
+
+def test_every_root_set_must_converge(monkeypatch):
+    # one Aberth sweep leaves roots unconverged on every path that finds
+    # roots; unchecked, they read as an empty slice or a wrong order
+    f = parse_poly(CUBIC, 2)
+    points = trace_contour(f, 8)
+    # a polynomial in z1 alone has univariate restrictions, which share
+    # the batch and the check
+    univariate = parse_poly("z1^3 - 2*z1 + 5", 2)
+    solves = {
+        "classify": lambda: classify(f, (0.0, 0.0)),
+        "fiber_solutions": lambda: fiber_solutions(f, (0.0, 0.0)),
+        "order": lambda: order(f, (3.0, 0.5)),
+        "amoeba_grids": lambda: amoeba_grids(f, ((-2.0, -2.0), (2.0, 2.0)), (3, 3)),
+        "contour_slice": lambda: contour_slice(f, 0.3),
+        "trace_contour": lambda: trace_contour(f, 8),
+        "classify_contour": lambda: classify_contour(f, points),
+        "univariate": lambda: classify(univariate, (0.5, 0.0)),
+    }
+    for solve in solves.values():
+        solve()
+    monkeypatch.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
+    for name, solve in solves.items():
+        try:
+            solve()
+        except NoConvergence:
+            continue
+        pytest.fail(f"{name} returned without NoConvergence")
 
 
 def test_monomial_rejected():

@@ -127,6 +127,15 @@ def test_basis_verification_report():
                 assert tag != "Complement"
 
 
+@pytest.mark.parametrize("box", [math.nan, math.inf, 1e308, 0.0, -1.0])
+def test_verify_basis_rejects_a_box_it_cannot_draw_from(box):
+    # the box spans 2 * box, which must be a positive finite float, as
+    # the command line's --box demands
+    basis = amoeba_basis(REFERENCE)
+    with pytest.raises(ValueError, match="box"):
+        verify_basis(basis, samples=10, box=box)
+
+
 def test_minimality_witnesses_from_the_fallback_walk(monkeypatch):
     # one sample cannot serve all three members, so the witnesses come from
     # the least-squares walk away from Log|v|

@@ -115,22 +115,25 @@ def test_cell_walls_reject_tag_rasters():
         cell_walls(tags)
 
 
-# the acceptance polynomials, and a product with the line z1 z2 = 1 whose
-# anti-diagonal cells are degenerate among ordinary ones
+# the acceptance polynomials; a product with the line z1 z2 = 1 whose
+# anti-diagonal cells are degenerate among ordinary ones; and a window so
+# far down in w2 that pruning leaves the lower rows a restriction in t1
+# alone, univariate, with full circles at w1 = 0
 STAGED = [
-    ("z1^3 + z2^3 + z1*z2 + 1", None),
-    ("z1^3 + z2^3 + 1.3*z1*z2 + 1", None),
-    ("z1^3 + z2^3 - 4*z1*z2 + 1", None),
-    ("z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1", None),
-    ("-2*z1^2 - 2*z1*z2^2 + 1.5i*z1^-1*z2^-1 - 1.2", None),
-    ("-2*z1^2 - 2*z1*z2^2 + 1.5i*z1^-1*z2^-1 - 4.9", None),
-    ("(z1*z2 - 1)*(1 + z1 + z2)", ((-1.0, -1.0), (1.0, 1.0))),
+    ("z1^3 + z2^3 + z1*z2 + 1", None, (9, 9)),
+    ("z1^3 + z2^3 + 1.3*z1*z2 + 1", None, (9, 9)),
+    ("z1^3 + z2^3 - 4*z1*z2 + 1", None, (9, 9)),
+    ("z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1", None, (9, 9)),
+    ("-2*z1^2 - 2*z1*z2^2 + 1.5i*z1^-1*z2^-1 - 1.2", None, (9, 9)),
+    ("-2*z1^2 - 2*z1*z2^2 + 1.5i*z1^-1*z2^-1 - 4.9", None, (9, 9)),
+    ("(z1*z2 - 1)*(1 + z1 + z2)", ((-1.0, -1.0), (1.0, 1.0)), (9, 9)),
+    ("z1^2 + z1 + 1 + z2", ((-1.0, -40.0), (1.0, -30.0)), (5, 3)),
 ]
 
 
 @pytest.mark.parametrize("k", range(len(STAGED)))
 def test_batched_raster_matches_single_classify(k, monkeypatch):
-    text, window = STAGED[k]
+    text, window, (nx, ny) = STAGED[k]
     if window is None:
         rng = np.random.default_rng(900 + k)
         lo = rng.uniform(-2.5, 0.0, 2)
@@ -138,14 +141,18 @@ def test_batched_raster_matches_single_classify(k, monkeypatch):
     f = parse_poly(text, 2)
     # blocks of 10 cells, so that the 81 cells span several blocks
     monkeypatch.setattr(amoebas.fiber, "_BATCH", 10)
-    betti, tags = amoeba_grids(f, window, (9, 9))
+    betti, tags = amoeba_grids(f, window, (nx, ny))
     xs, ys = betti.centers()
     seen = set()
-    for i in range(9):
-        for j in range(9):
+    for i in range(nx):
+        for j in range(ny):
             pc = classify(f, (float(xs[i]), float(ys[j])))
             count = SENTINEL if pc.tag == "Degenerate" else len(pc.solutions)
             assert (betti.cells[i, j], tags.cells[i, j]) == (count, pc.tag), (i, j)
             seen.add(pc.tag)
-    if k == len(STAGED) - 1:
+    if text.startswith("(z1*z2 - 1)"):
         assert {"Degenerate", "Complement", "Interior"} <= seen
+    if text == "z1^2 + z1 + 1 + z2":
+        # Degenerate at w1 = 0 (the middle column) in the two pruned rows only
+        assert [tags.cells[i, j] == "Degenerate" for i in range(nx) for j in range(ny)] == [
+            i == nx // 2 and j < ny - 1 for i in range(nx) for j in range(ny)]
