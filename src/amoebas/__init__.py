@@ -32,7 +32,6 @@ from .laurent import (
     evaluate,
     fiber_restrict,
     log_gauss_numerator,
-    monomial_clear,
     newton_polytope,
 )
 from .parsing import format_poly, parse_poly
@@ -73,7 +72,7 @@ __all__ = [
     "NotLinear", "Overflow", "ParseError", "PolySyntaxError", "SingularMatrix",
     "UnknownVariable", "ZeroCoordinate",
     "LaurentPoly", "NewtonPolytope",
-    "evaluate", "fiber_restrict", "log_gauss_numerator", "monomial_clear",
+    "evaluate", "fiber_restrict", "log_gauss_numerator",
     "newton_polytope",
     "format_poly", "parse_poly",
     "RootCluster", "UniPoly", "roots",

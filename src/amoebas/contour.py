@@ -27,13 +27,14 @@ from .fiber import (
     CRITICAL_TOL,
     RESIDUAL_REL,
     _abs_at,
+    _check_curve,
     _classify_points,
     _dense,
     _eval_bi,
     _score,
     _staged,
 )
-from .laurent import log_gauss_numerator, monomial_clear
+from .laurent import log_gauss_numerator
 from .numeric import UniPoly, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
@@ -127,8 +128,7 @@ def _eliminate(curve, theta):
         raise DegenerateSlice(
             f"Gauss combination vanishes identically at theta={theta:.6f}"
         )
-    h, _ = monomial_clear(comb)
-    hb = _dense(h)
+    hb = _dense(comb)
     if hb.shape[1] == 1:
         return (gb, hb, theta), UniPoly(hb[:, 0])
     try:
@@ -224,12 +224,8 @@ def _sweep(f, thetas):
     list of ``contour_slice``, or the DegenerateSlice raised for that
     slice alone.
     """
-    if f.nvars != 2:
-        raise ValueError("contour tracing is implemented for two variables")
-    if len(f.terms) < 2:
-        raise ValueError("monomials have empty varieties in the torus")
-    curve = (_dense(monomial_clear(f)[0]), log_gauss_numerator(f, 0),
-             log_gauss_numerator(f, 1))
+    _check_curve(f)
+    curve = (_dense(f), log_gauss_numerator(f, 0), log_gauss_numerator(f, 1))
     return _staged(map(float, thetas), functools.partial(_eliminate, curve),
                    _backsub_slices, _points, (DegenerateSlice,))
 
@@ -254,6 +250,8 @@ def contour_slice(f, theta):
 
     Raises
     ------
+    DegenerateFiber
+        If f is the zero polynomial or a monomial: there is no curve.
     DegenerateSlice
         When the slice system is not zero-dimensional at this angle.
     NoConvergence
@@ -274,7 +272,8 @@ def trace_contour(f, n_slices):
     through a SkippedSlices warning.  The pooled cloud is deduplicated on the pair
     (w rounded to a 1e-9 grid, s_param), so the same log-point is kept
     once per fold direction, and returned sorted by (w, s_param).
-    NoConvergence in any slice is raised, not skipped.
+    NoConvergence in any slice is raised, not skipped, and so is the
+    DegenerateFiber of a zero or monomial f.
     """
     n_slices = int(n_slices)
     if n_slices < 1:
@@ -309,7 +308,8 @@ def classify_contour(f, points):
     each gets the tag a single ``classify`` call gives.  Boundary
     tags, with or without the caveat flag, land under ``"boundary"``;
     degenerate fibers under ``"degenerate"``; everything else under
-    ``"inner"``.
+    ``"inner"``.  A zero or monomial f raises DegenerateFiber, as in
+    ``classify``.
 
     Returns
     -------

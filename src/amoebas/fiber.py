@@ -25,7 +25,7 @@ from .errors import (
     InconsistentOrder,
     NoConvergence,
 )
-from .laurent import _term_log_moduli, fiber_restrict, monomial_clear
+from .laurent import _term_log_moduli, fiber_restrict
 from .numeric import UniPoly, _roots_batch, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
@@ -107,16 +107,15 @@ class PointClass:
 
 
 # --------------------------------------------------------------------------
-# dense helpers on cleared torus polynomials
+# dense helpers on torus polynomials
 # --------------------------------------------------------------------------
 
 def _dense(g):
-    """Cleared 2-variable LaurentPoly -> dense array b[i, j] ~ t1^i t2^j."""
-    d1 = g.degree_span(0)[1]
-    d2 = g.degree_span(1)[1]
-    b = np.zeros((d1 + 1, d2 + 1), dtype=complex)
+    """Dense b[i, j] ~ t1^i t2^j of g, shifted so its lowest exponents are 0 (same torus zeros)."""
+    (lo1, hi1), (lo2, hi2) = g.degree_span(0), g.degree_span(1)
+    b = np.zeros((hi1 - lo1 + 1, hi2 - lo2 + 1), dtype=complex)
     for (a1, a2), c in g.terms.items():
-        b[a1, a2] = c
+        b[a1 - lo1, a2 - lo2] = c
     return b
 
 
@@ -262,7 +261,7 @@ def _eliminate(f, w):
     dense restriction and the sum of its coefficient moduli.
     """
     g, _ = fiber_restrict(f, w)
-    gb = _dense(monomial_clear(g)[0])
+    gb = _dense(g)
     if gb.size == 1:
         return None
     if 1 in gb.shape:
@@ -412,6 +411,16 @@ def _staged(items, eliminate, backsub, finish, errors):
         yield from out
 
 
+def _check_curve(f):
+    """Curve solvers' one gate: ValueError unless n = 2, DegenerateFiber without a torus curve."""
+    if f.nvars != 2:
+        raise ValueError("curve solvers are implemented for two variables")
+    if not f.terms:
+        raise DegenerateFiber("zero polynomial vanishes on every fiber")
+    if len(f.terms) == 1:
+        raise DegenerateFiber("a monomial has no zeros in the torus")
+
+
 def _fibers(f, ws):
     """Fiber solves at many points, through ``_staged``.
 
@@ -421,12 +430,7 @@ def _fibers(f, ws):
     entry per point: (solutions, gauss_pairs) sorted by phi, or the
     DegenerateFiber or NoConvergence raised for that point alone.
     """
-    if f.nvars != 2:
-        raise ValueError("fiber solving is implemented for two variables")
-    if not f.terms:
-        return (DegenerateFiber("zero polynomial vanishes on every fiber") for _ in ws)
-    if len(f.terms) == 1:
-        raise ValueError("monomials have empty varieties in the torus")
+    _check_curve(f)
     solved = _staged(ws, functools.partial(_eliminate, f), _backsub_slices,
                      _solutions, (DegenerateFiber, NoConvergence))
     return (([], []) if out is None else out for out in solved)
@@ -463,7 +467,8 @@ def fiber_solutions(f, w):
     Raises
     ------
     DegenerateFiber
-        If the intersection is not a finite point set.
+        If the intersection is not a finite point set, or f is the zero
+        polynomial or a monomial.
     NoConvergence
         If a resultant or back-substitution root did not converge.
     """
@@ -487,6 +492,8 @@ def classify(f, w):
 
     Raises
     ------
+    DegenerateFiber
+        If f is the zero polynomial or a monomial.
     NoConvergence
         As ``fiber_solutions``.
     """
@@ -494,22 +501,21 @@ def classify(f, w):
 
 
 def _classify_points(f, ws):
-    """``classify`` at many points, yielded in order.
+    """``classify`` at many points, as an iterator in order.
 
-    A degenerate fiber tags its own point only; a NoConvergence at any
-    point is raised.
+    ``_check_curve`` runs before the iterator is returned.  A degenerate
+    fiber tags its own point only; a NoConvergence at any point is raised.
     """
-    for solved in _fibers(f, ws):
-        if isinstance(solved, DegenerateFiber):
-            yield PointClass("Degenerate")
-        elif isinstance(solved, AmoebaError):
-            raise solved
-        else:
-            yield _tag(*solved)
+    return map(_tag, _fibers(f, ws))
 
 
-def _tag(sols, gauss):
-    """The PointClass of a fiber's solutions and their Gauss pairs."""
+def _tag(solved):
+    """The PointClass of one entry of ``_fibers``."""
+    if isinstance(solved, DegenerateFiber):
+        return PointClass("Degenerate")
+    if isinstance(solved, AmoebaError):
+        raise solved
+    sols, gauss = solved
     if not sols:
         return PointClass("Complement")
     criticals = [i for i, s in enumerate(sols) if s.critical]
@@ -547,6 +553,8 @@ def order(f, w):
 
     Raises
     ------
+    DegenerateFiber
+        If f is the zero polynomial, which has no complement.
     InconsistentOrder
         If the draws disagree; w is too close to the amoeba for the slice
         count to be stable.
@@ -555,6 +563,8 @@ def order(f, w):
     Overflow
         If w is non-finite or some log term modulus is not representable.
     """
+    if not f.terms:
+        raise DegenerateFiber("zero polynomial vanishes on every fiber")
     n = f.nvars
     w = [float(v) for v in w]
     items = sorted(f.terms.items())

@@ -324,17 +324,3 @@ def newton_polytope(f):
         area2 += x1 * y2 - x2 * y1
     return NewtonPolytope(verts, abs(area2))
 
-
-def monomial_clear(f):
-    """Shift f by a monomial so all exponents are nonnegative with a zero minimum.
-
-    Returns the shifted polynomial and the shift vector beta with
-    f_shifted = z^beta * f.  The variety in the algebraic torus is unchanged.
-    """
-    if not f.terms:
-        return f, (0,) * f.nvars
-    beta = tuple(-min(a[j] for a in f.terms) for j in range(f.nvars))
-    if all(b == 0 for b in beta):
-        return f, beta
-    out = {tuple(a + s for a, s in zip(alpha, beta)): c for alpha, c in f.terms.items()}
-    return LaurentPoly(f.nvars, out), beta

@@ -311,11 +311,10 @@ def _walk_witness(basis, i):
     target = []
     for k, g in enumerate(basis.polys):
         vals = _term_moduli(g, w_star)
-        # gradient of gap_k wrt w: +r_j on the dominant slot, -r_j elsewhere
-        dom = k if k < len(vals) else 0
+        # gradient of gap_k wrt w: +r_j on the dominant slot k, -r_j elsewhere
         grad = []
         for j in range(1, n + 1):
-            sign = 1.0 if j == dom else -1.0
+            sign = 1.0 if j == k else -1.0
             grad.append(sign * vals[j])
         rows.append(grad)
         target.append(1.0 if k == i else -1.0)

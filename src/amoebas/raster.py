@@ -65,26 +65,20 @@ def amoeba_grids(f, window, resolution):
     Returns (betti, tags): the Betti raster counts distinct fiber
     solutions per cell (0 exactly on the complement, -1 on degenerate
     cells) and the tag raster stores the four-way classification of the
-    same fiber computations, so the two are cell-wise consistent.
+    same fiber computations, so the two are cell-wise consistent.  A zero
+    or monomial f raises DegenerateFiber, as in ``classify``.
     """
-    if f.nvars != 2:
-        raise ValueError("rasters are implemented for two variables")
-    probe = Raster(window, resolution, np.zeros(
-        (int(resolution[0]), int(resolution[1])), dtype=int))
-    xs, ys = probe.centers()
-    nx, ny = probe.resolution
+    shape = (int(resolution[0]), int(resolution[1]))
+    betti = Raster(window, resolution, np.empty(shape, dtype=int))
+    tags = Raster(window, resolution, np.empty(shape, dtype="<U15"))
+    xs, ys = betti.centers()
+    nx, ny = betti.resolution
     points = [(float(xs[i]), float(ys[j])) for i in range(nx) for j in range(ny)]
-
-    betti = np.empty((nx, ny), dtype=int)
-    tags = np.empty((nx, ny), dtype="<U15")
     for idx, pc in enumerate(_classify_points(f, points)):
         i, j = divmod(idx, ny)
-        betti[i, j] = SENTINEL if pc.tag == "Degenerate" else len(pc.solutions)
-        tags[i, j] = pc.tag
-    return (
-        Raster(window, resolution, betti),
-        Raster(window, resolution, tags),
-    )
+        betti.cells[i, j] = SENTINEL if pc.tag == "Degenerate" else len(pc.solutions)
+        tags.cells[i, j] = pc.tag
+    return betti, tags
 
 
 def cell_walls(r):

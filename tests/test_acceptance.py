@@ -41,7 +41,8 @@ from amoebas import (
     verify_basis,
 )
 from amoebas.cli import main as cli_main
-from amoebas.laurent import LaurentPoly, monomial_clear
+from amoebas.fiber import _dense
+from amoebas.laurent import LaurentPoly
 from oracles import torus_min_modulus
 
 CUBIC1 = "z1^3 + z2^3 + z1*z2 + 1"
@@ -56,8 +57,8 @@ def quadnomial(c):
 
 
 def cleared_degree(f):
-    g, _ = monomial_clear(f)
-    return max(sum(a) for a in g.terms)
+    i, j = np.nonzero(_dense(f))
+    return int((i + j).max())
 
 
 def grid_and_trace(text, n_slices=720):

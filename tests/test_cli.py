@@ -184,23 +184,39 @@ def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
         (("lopsided", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
         (("member", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
         (("classify", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
+        (("contour", "--poly", "z1", "--output", "OUT.csv"), 3),
+        (("contour", "--poly", "0"), 3),
+        (("boundary", "--poly", "z1"), 3),
+        (("boundary", "--poly", "0", "--output", "OUT.csv"), 3),
+        (("betti", "--poly", "z1", "--output", "OUT.ppm"), 3),
+        (("betti", "--poly", "0", "--output", "OUT.ppm"), 3),
+        (("raster", "--poly", "z1", "--output", "OUT.svg"), 3),
+        (("raster", "--poly", "0", "--output", "OUT.svg"), 3),
+        (("order", "--poly", "0", "--point", "0,0"), 3),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--samples", "1000001"), 2),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
          "nan-box", "inf-box", "huge-box", "lopsided-overflow", "member-overflow",
-         "classify-overflow"],
+         "classify-overflow", "contour-monomial", "contour-zero-poly",
+         "boundary-monomial", "boundary-zero-poly", "betti-monomial", "betti-zero-poly",
+         "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap"],
 )
-def test_parsed_but_invalid_query_is_an_exit_code(capsys, argv, expected):
+def test_parsed_but_invalid_query_is_an_exit_code(capsys, tmp_path, argv, expected):
+    # an OUT.* argument is an --output file in tmp_path, which must stay empty
+    argv = [str(tmp_path / a) if a.startswith("OUT.") else a for a in argv]
     try:
         code, out, err = run(capsys, *argv)
     except SystemExit as exc:
         # argparse rejects an out-of-range option value before any handler
         # runs; its last stderr line is "amoeba <cmd>: error: ..."
         code, (out, err) = exc.code, capsys.readouterr()
-        err = err.splitlines()[-1].replace(f"amoeba {argv[0]}: ", "", 1)
+        err = err.splitlines()[-1].replace(f"amoeba {argv[0]}: ", "", 1) + "\n"
     assert code == expected
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_order_beyond_the_exponential_range(capsys):

@@ -23,7 +23,6 @@ from amoebas import (
     fiber_solutions,
     log_gauss_numerator,
     lopsided,
-    monomial_clear,
     order,
     parse_poly,
     roots,
@@ -150,6 +149,16 @@ def test_conjugation_symmetry_for_real_coefficients():
 # the dense kernel shared with the contour sweep
 # --------------------------------------------------------------------------
 
+def test_dense_shifts_exponents_to_the_origin():
+    b = _dense(LaurentPoly(2, {(-1, 2): 1.0, (3, -2): 2.0}))
+    expected = np.zeros((5, 5), dtype=complex)
+    expected[0, 4], expected[4, 0] = 1.0, 2.0
+    assert np.array_equal(b, expected)
+    # a polynomial that is cleared already keeps its exponents
+    b = _dense(LaurentPoly(2, {(0, 0): 1.0, (2, 1): -1.0}))
+    assert np.array_equal(b, [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
+
+
 def test_dense_evaluator_matches_sparse_evaluation():
     rng = random.Random(4711)
     for _ in range(200):
@@ -157,7 +166,9 @@ def test_dense_evaluator_matches_sparse_evaluation():
         for _ in range(rng.randint(1, 8)):
             a = (rng.randint(-3, 4), rng.randint(-3, 4))
             terms[a] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        g, _ = monomial_clear(LaurentPoly(2, terms))
+        # the sparse side needs the cleared polynomial that _dense holds
+        lo = [min(a[j] for a in terms) for j in (0, 1)]
+        g = LaurentPoly(2, {(a1 - lo[0], a2 - lo[1]): c for (a1, a2), c in terms.items()})
         z = tuple(
             math.exp(rng.uniform(-1, 1)) * complex(math.cos(p), math.sin(p))
             for p in (rng.uniform(0, TAU), rng.uniform(0, TAU))
@@ -332,8 +343,39 @@ def test_every_root_set_must_converge(monkeypatch):
 
 
 def test_monomial_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateFiber):
         fiber_solutions(parse_poly("3*z1*z2^2", 2), (0.0, 0.0))
+
+
+SOLVERS = {
+    "fiber_solutions": lambda f: fiber_solutions(f, (0.0, 0.0)),
+    "classify": lambda f: classify(f, (0.0, 0.0)),
+    "amoeba_grids": lambda f: amoeba_grids(f, ((-1.0, -1.0), (1.0, 1.0)), (2, 2)),
+    "classify_contour": lambda f: classify_contour(f, []),
+    "contour_slice": lambda f: contour_slice(f, 0.3),
+    "trace_contour": lambda f: trace_contour(f, 4),
+}
+
+
+@pytest.mark.parametrize(
+    "text, nvars, error",
+    [("0", 2, DegenerateFiber), ("3*z1*z2^-2", 2, DegenerateFiber),
+     ("z1 + z2 + z3", 3, ValueError)],
+    ids=["zero", "monomial", "three-variables"],
+)
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_curve_solver_rejects_a_polynomial_without_a_curve(solver, text, nvars, error):
+    # one gate decides, before any point or slice is solved (classify_contour
+    # gets no points at all)
+    with pytest.raises(error):
+        SOLVERS[solver](parse_poly(text, nvars))
+
+
+def test_order_of_the_zero_polynomial_is_degenerate():
+    with pytest.raises(DegenerateFiber):
+        order(parse_poly("0", 2), (0.0, 0.0))
+    # a monomial has an empty amoeba; its order is its exponent
+    assert order(parse_poly("3*z1*z2^-2", 2), (0.5, -0.5)) == (1, -2)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from amoebas import (
     evaluate,
     fiber_restrict,
     log_gauss_numerator,
-    monomial_clear,
     newton_polytope,
 )
 
@@ -83,22 +82,6 @@ def test_fiber_restrict_overflow_guard():
         fiber_restrict(f, (1e303, 0.0))
     with pytest.raises(Overflow):
         fiber_restrict(f, (float("inf"), 0.0))
-
-
-def test_monomial_clear_shifts_to_origin():
-    f = LaurentPoly(2, {(-1, 2): 1.0, (3, -2): 2.0})
-    g, beta = monomial_clear(f)
-    assert beta == (1, 2)
-    assert dict(g.terms) == {(0, 4): 1 + 0j, (4, 0): 2 + 0j}
-    assert min(a[0] for a in g.terms) == 0
-    assert min(a[1] for a in g.terms) == 0
-
-
-def test_monomial_clear_identity_when_already_cleared():
-    f = LaurentPoly(2, {(0, 0): 1.0, (2, 1): -1.0})
-    g, beta = monomial_clear(f)
-    assert beta == (0, 0)
-    assert dict(g.terms) == dict(f.terms)
 
 
 def test_newton_polytope_quadrilateral():
