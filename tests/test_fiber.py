@@ -149,16 +149,6 @@ def test_conjugation_symmetry_for_real_coefficients():
 # the dense kernel shared with the contour sweep
 # --------------------------------------------------------------------------
 
-def test_dense_shifts_exponents_to_the_origin():
-    b = _dense(LaurentPoly(2, {(-1, 2): 1.0, (3, -2): 2.0}))
-    expected = np.zeros((5, 5), dtype=complex)
-    expected[0, 4], expected[4, 0] = 1.0, 2.0
-    assert np.array_equal(b, expected)
-    # a polynomial that is cleared already keeps its exponents
-    b = _dense(LaurentPoly(2, {(0, 0): 1.0, (2, 1): -1.0}))
-    assert np.array_equal(b, [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
-
-
 def test_dense_evaluator_matches_sparse_evaluation():
     rng = random.Random(4711)
     for _ in range(200):

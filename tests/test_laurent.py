@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from amoebas import (
@@ -14,6 +15,7 @@ from amoebas import (
     log_gauss_numerator,
     newton_polytope,
 )
+from amoebas.fiber import _dense
 
 
 def test_terms_are_normalized_and_hashable_exponents():
@@ -82,6 +84,21 @@ def test_fiber_restrict_overflow_guard():
         fiber_restrict(f, (1e303, 0.0))
     with pytest.raises(Overflow):
         fiber_restrict(f, (float("inf"), 0.0))
+
+
+# Monomial clearing (multiplying by z^beta so every exponent starts at 0)
+# happens as fiber._dense fills its coefficient array.
+
+def test_monomial_clear_shifts_to_origin():
+    b = _dense(LaurentPoly(2, {(-1, 2): 1.0, (3, -2): 2.0}))
+    expected = np.zeros((5, 5), dtype=complex)
+    expected[0, 4], expected[4, 0] = 1.0, 2.0
+    assert np.array_equal(b, expected)
+
+
+def test_monomial_clear_identity_when_already_cleared():
+    b = _dense(LaurentPoly(2, {(0, 0): 1.0, (2, 1): -1.0}))
+    assert np.array_equal(b, [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
 
 
 def test_newton_polytope_quadrilateral():
