@@ -1,8 +1,8 @@
 """The README's command-line examples against recorded outputs, byte for byte.
 
-Each case runs ``amoeba`` in-process, with the contour and raster examples
-at reduced size, and compares its exit code, its stdout and every file it
-writes with the recording under ``tests/golden/``.  To re-record after an
+Each case runs ``amoeba`` in-process, the contour examples at the README's
+360 slices and the rasters at reduced size, and compares its exit code, its
+stdout and every file it writes with the recording under ``tests/golden/``.  To re-record after an
 intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -38,9 +38,9 @@ CASES = {
     "order": (["order", "--poly", CUBIC13, "--point", "0,0"], []),
     "lopsided": (["lopsided", "--poly", "1 + 2*z1 + 3*z2", "--point", "10,0"], []),
     "fiber": (["fiber", "--poly", CUBIC, "--point", "0,0"], []),
-    "contour": (["contour", "--poly", HARNACK, "--slices", "90"], []),
+    "contour": (["contour", "--poly", HARNACK, "--slices", "360"], []),
     "boundary": (
-        ["boundary", "--poly", CUBIC, "--slices", "90", "--output", "b.csv"],
+        ["boundary", "--poly", CUBIC, "--slices", "360", "--output", "b.csv"],
         ["b.csv"],
     ),
     "betti": (
