@@ -70,9 +70,12 @@ _TAG_RGB = {
     "Degenerate": (255, 0, 255),
 }
 
-# ceiling of basis --samples: verify_basis tags every sample in one array
-# pass, which peaks near 230 MB at this count for a 2x2 system
+# ceiling of basis --samples: verify_basis tags the samples in fixed
+# blocks, so memory stays flat, but time grows with the count
 _MAX_SAMPLES = 1_000_000
+
+# ceiling of nx * ny for --res: a raster holds two arrays of this many cells
+_MAX_CELLS = 1_000_000
 
 # lets option values like "-2,-2,2,2", "-1.5,0" or "-0.5+1i,1;2,-1" pass as arguments
 _NEGATIVE_VALUE = re.compile(r"^-[\d.,;eEiIjJ+-]+$")
@@ -143,6 +146,8 @@ def _res_arg(text):
     nx, ny = (int(p) for p in text.split(","))
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2,2")
+    if nx * ny > _MAX_CELLS:
+        raise ValueError(f"resolution must have at most {_MAX_CELLS} cells")
     return (nx, ny)
 
 

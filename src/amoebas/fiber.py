@@ -25,7 +25,7 @@ from .errors import (
     InconsistentOrder,
     NoConvergence,
 )
-from .laurent import _term_log_moduli, fiber_restrict
+from .laurent import _torus_moduli, fiber_restrict
 from .numeric import UniPoly, _roots_batch, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
@@ -545,11 +545,13 @@ def order(f, w):
     """Order vector of the complement component containing w.
 
     The j-th entry is the winding number of the slice u -> f(z) with
-    z_j = u and the other coordinates frozen on their circles, i.e. the
-    number of zeros inside |u| < e^{w_j} minus the pole order at the
-    origin.  Each entry is recomputed at _ORDER_SAMPLES angle draws (fixed
-    seed, so the result is deterministic) and must agree.  All n x
-    _ORDER_SAMPLES slices go through one batched root finder.
+    z_j = e^{w_j} u and the other coordinates frozen on their circles,
+    i.e. the number of zeros inside |u| < 1 minus the pole order at the
+    origin.  The slice coefficients are the term moduli on the fiber torus
+    over w (``_torus_moduli``), so a term is weighed where it is counted.
+    Each entry is recomputed at _ORDER_SAMPLES angle draws (fixed seed, so
+    the result is deterministic) and must agree.  All n x _ORDER_SAMPLES
+    slices go through one batched root finder.
 
     Raises
     ------
@@ -561,44 +563,30 @@ def order(f, w):
     NoConvergence
         If a slice root did not converge.
     Overflow
-        If w is non-finite or some log term modulus is not representable.
+        If w is non-finite or some <alpha, w> is not representable.
     """
     if not f.terms:
         raise DegenerateFiber("zero polynomial vanishes on every fiber")
     n = f.nvars
-    w = [float(v) for v in w]
     items = sorted(f.terms.items())
+    mods, _ = _torus_moduli(items, [float(v) for v in w])
     rng = np.random.default_rng(_ORDER_SEED)
-    lows, polys = [], []  # per slice, j-major: lowest power of u, polynomial
+    polys = []  # per slice, j-major: coefficients from the lowest power of u up
     for j in range(n):
-        # log-scale normalization shared by every slice coefficient; z_j is
-        # the slice variable, so its coordinate drops out of the moduli
-        logs = _term_log_moduli(items, [0.0 if k == j else w[k] for k in range(n)])
-        cap = max(logs)
+        lo, hi = f.degree_span(j)
         for _ in range(_ORDER_SAMPLES):
             theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-            slice_terms = {}
-            for (alpha, b), m in zip(items, logs):
-                phase = b / abs(b)
+            coeffs = np.zeros(hi - lo + 1, dtype=complex)
+            for (alpha, b), mag in zip(items, mods):
                 rot = cmath.exp(1j * math.fsum(alpha[k] * theta[k] for k in range(n) if k != j))
-                c = phase * rot * math.exp(m - cap)
-                slice_terms[alpha[j]] = slice_terms.get(alpha[j], 0j) + c
-            low = min(slice_terms)
-            coeffs = np.zeros(max(slice_terms) - low + 1, dtype=complex)
-            for mm, c in slice_terms.items():
-                coeffs[mm - low] = c
-            lows.append(low)
+                coeffs[alpha[j] - lo] += b / abs(b) * rot * mag
             polys.append(coeffs)
     found = _roots_batch(polys)
     out = []
     for j in range(n):
-        try:
-            radius = math.exp(w[j])
-        except OverflowError:  # every converged root is finite, so inside
-            radius = math.inf
-        mine = slice(j * _ORDER_SAMPLES, (j + 1) * _ORDER_SAMPLES)
-        seen = {low + sum(cl.multiplicity for cl in _converged(cls) if abs(cl.center) < radius)
-                for low, cls in zip(lows[mine], found[mine])}
+        mine = found[j * _ORDER_SAMPLES:(j + 1) * _ORDER_SAMPLES]
+        seen = {f.degree_span(j)[0] + sum(cl.multiplicity for cl in _converged(cls)
+                                          if abs(cl.center) < 1.0) for cls in mine}
         if len(seen) != 1:
             raise InconsistentOrder(
                 f"winding count for variable {j+1} varies across angles: {sorted(seen)}"
@@ -618,9 +606,7 @@ def lopsided(f, w):
     if not f.terms:
         return None
     items = sorted(f.terms.items())
-    logs = _term_log_moduli(items, [float(v) for v in w])
-    cap = max(logs)
-    vals = [math.exp(m - cap) for m in logs]
+    vals, _ = _torus_moduli(items, [float(v) for v in w])
     total = math.fsum(vals)
     best = max(range(len(vals)), key=lambda i: vals[i])
     if vals[best] > total - vals[best]:

@@ -3,10 +3,11 @@
 A Laurent polynomial f(z) = sum_alpha b_alpha z^alpha in n variables is
 stored as a dictionary from integer exponent vectors to complex
 coefficients.  The module keeps the algebra deliberately small: evaluate,
-build the logarithmic-Gauss numerators z_j df/dz_j, take the term
-log-moduli log|b_alpha| + <alpha, w> that term dominance and the fiber
-restriction over a log-point w are read from, and take the Newton
-polytope.
+build the logarithmic-Gauss numerators z_j df/dz_j, take the term moduli
+|b_alpha| e^{<alpha, w>} on the fiber torus over a log-point w, the only
+place where coefficients are compared (term dominance, the fiber
+restriction, the order), and take the Newton polytope.  Sums and products
+drop a coefficient only when the sum that formed it cancelled.
 
 >>> f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 >>> evaluate(f, (1.0, 1.0))
@@ -22,7 +23,8 @@ from .errors import Overflow, ZeroCoordinate
 # exponents are kept in int32 territory; degrees past this are rejected
 MAX_DEGREE = 10**6
 
-# relative threshold below which coefficients are dropped after arithmetic
+# a sum within this fraction of its larger summand is cancellation residue,
+# dropped by sums and products; fiber_restrict drops torus moduli below it
 PRUNE_REL = 1e-14
 
 
@@ -76,22 +78,8 @@ class LaurentPoly:
 
     # -- ring operations (used mainly by the expression parser) -------------
 
-    def _prune(self, terms):
-        if not terms:
-            return {}
-        cap = max(abs(b) for b in terms.values())
-        return {a: b for a, b in terms.items() if abs(b) >= PRUNE_REL * cap}
-
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for a, b in other.terms.items():
-            c = out.get(a, 0j) + b
-            if c == 0:
-                out.pop(a, None)
-            else:
-                out[a] = c
-        return LaurentPoly(self.nvars, self._prune(out))
+        return _collect(self.nvars, dict(self.terms), self._coerce(other).terms.items())
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -101,16 +89,9 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = {}
-        for a1, b1 in self.terms.items():
-            for a2, b2 in other.terms.items():
-                a = tuple(x + y for x, y in zip(a1, a2))
-                c = out.get(a, 0j) + b1 * b2
-                if c == 0:
-                    out.pop(a, None)
-                else:
-                    out[a] = c
-        return LaurentPoly(self.nvars, self._prune(out))
+        return _collect(self.nvars, {}, ((tuple(x + y for x, y in zip(a1, a2)), b1 * b2)
+                                         for a1, b1 in self.terms.items()
+                                         for a2, b2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -129,6 +110,22 @@ class LaurentPoly:
             return (0, 0)
         exps = [a[j] for a in self.terms]
         return (min(exps), max(exps))
+
+
+def _collect(nvars, out, pairs):
+    """LaurentPoly of the terms ``out`` plus each (exponent, coefficient) of ``pairs``.
+
+    A sum whose modulus is at most PRUNE_REL times its larger summand's
+    (an exact zero included) is dropped; nothing else is compared.
+    """
+    for a, term in pairs:
+        prev = out.get(a, 0j)
+        c = prev + term
+        if abs(c) <= PRUNE_REL * max(abs(prev), abs(term)):
+            out.pop(a, None)
+        else:
+            out[a] = c
+    return LaurentPoly(nvars, out)
 
 
 class NewtonPolytope:
@@ -244,23 +241,17 @@ def fiber_restrict(f, w):
     w = [float(v) for v in w]
     if len(w) != f.nvars:
         raise ValueError("w has wrong arity")
-    logs = _term_log_moduli(f.terms.items(), w)
-    if not logs:
-        return LaurentPoly(f.nvars, {}), 0.0
-    cap = max(logs)
-    out = {}
-    for (alpha, b), m in zip(f.terms.items(), logs):
-        mag = math.exp(m - cap)
-        if mag >= PRUNE_REL:
-            out[alpha] = (b / abs(b)) * mag
+    mods, cap = _torus_moduli(f.terms.items(), w)
+    out = {alpha: (b / abs(b)) * mag
+           for (alpha, b), mag in zip(f.terms.items(), mods) if mag >= PRUNE_REL}
     return LaurentPoly(f.nvars, out), cap
 
 
-def _term_log_moduli(items, w):
-    """log|b_alpha| + <alpha, w> for each (alpha, b_alpha) of ``items``, in order.
+def _torus_moduli(items, w):
+    """Term moduli on the fiber torus over w, scaled so that the largest is 1.
 
-    These are the log term moduli on the fiber torus over w, the input of
-    every term-dominance (lopsidedness) test and of the fiber restriction.
+    Returns the moduli |b_alpha| e^{<alpha, w>} of ``items``, in order,
+    divided by the largest, and the log of the largest (0.0 without items).
 
     Raises
     ------
@@ -278,7 +269,8 @@ def _term_log_moduli(items, w):
         if not math.isfinite(m):
             raise Overflow(f"<alpha, w> overflows for alpha={alpha}")
         logs.append(m)
-    return logs
+    cap = max(logs, default=0.0)
+    return [math.exp(m - cap) for m in logs], cap
 
 
 def _cross(o, a, b):

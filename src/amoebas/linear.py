@@ -272,6 +272,10 @@ _VERIFY_SEED = 8675309
 _TAGS = ("Complement", "Boundary", "Interior")
 _COMPLEMENT, _BOUNDARY, _INTERIOR = range(3)
 
+# samples drawn and tagged at a time by verify_basis, which bounds its
+# memory; the seeded stream, and so every verdict, does not depend on it
+_SAMPLE_BLOCK = 65536
+
 
 def _linear_tags(g, W):
     """Tag codes (indices into _TAGS) of linear_classify(g, w) for each row w of W.
@@ -354,16 +358,18 @@ def verify_basis(basis, samples=10000, box=2.0):
     span a rank-n space, which for linear ideals means the members
     generate the same ideal as the original system.
 
-    The samples are tagged in one array pass per member (_linear_tags),
-    which hands the rows within 1e-12 of the 1e-9 equality band to
-    linear_classify, so every verdict is the one linear_classify gives.
-    Returns a BasisReport on success and raises AxiomFailure otherwise,
-    with the first failing sample in draw order as its witness.  The
-    sample stream is seeded, so the verdict is deterministic.  Raises
-    ValueError unless ``box`` is positive with 2 * box a finite float.
+    The samples are drawn and tagged in blocks of _SAMPLE_BLOCK rows, one
+    array pass per member and block (_linear_tags), which hands the rows
+    within 1e-12 of the 1e-9 equality band to linear_classify, so every
+    verdict is the one linear_classify gives.  Returns a BasisReport on
+    success and raises AxiomFailure otherwise, with the first failing
+    sample in draw order as its witness.  The sample stream is seeded, so
+    the verdict is deterministic.  Raises ValueError for a negative
+    ``samples``, and unless ``box`` is positive with 2 * box a finite float.
     """
-    if not (box > 0 and math.isfinite(2.0 * box)):
-        raise ValueError("box must be positive, with 2 * box finite")
+    samples = int(samples)
+    if not (box > 0 and math.isfinite(2.0 * box)) or samples < 0:
+        raise ValueError("need samples >= 0, and a positive box with 2 * box finite")
     n = len(basis.witness)
     w_star = basis.log_point
     v = basis.witness
@@ -384,24 +390,28 @@ def verify_basis(basis, samples=10000, box=2.0):
             )
 
     rng = np.random.default_rng(_VERIFY_SEED)
-    draws = rng.uniform(-box, box, size=(int(samples), n))
-    W = np.asarray(w_star) + draws
-    outside = np.stack([_linear_tags(g, W) for g in basis.polys], axis=1) == _COMPLEMENT
-    escaped = outside.any(axis=1)
-    stuck = np.flatnonzero(~escaped & (np.abs(draws).max(axis=1) > 1e-9))
-    if stuck.size:
-        raise AxiomFailure(
-            "axiom 1: a sampled point off Log|v| lies in every member amoeba",
-            axiom=1,
-            witness=tuple(W[stuck[0]].tolist()),
-        )
-    escapes = int(escaped.sum())
+    escapes = 0
+    alone_at = {}  # member -> first sample outside that member only
+    for lo in range(0, samples, _SAMPLE_BLOCK):
+        draws = rng.uniform(-box, box, size=(min(_SAMPLE_BLOCK, samples - lo), n))
+        W = np.asarray(w_star) + draws
+        outside = np.stack([_linear_tags(g, W) for g in basis.polys], axis=1) == _COMPLEMENT
+        escaped = outside.any(axis=1)
+        stuck = np.flatnonzero(~escaped & (np.abs(draws).max(axis=1) > 1e-9))
+        if stuck.size:
+            raise AxiomFailure(
+                "axiom 1: a sampled point off Log|v| lies in every member amoeba",
+                axiom=1,
+                witness=tuple(W[stuck[0]].tolist()),
+            )
+        escapes += int(escaped.sum())
+        lone = outside & (outside.sum(axis=1) == 1)[:, None]
+        for i in np.flatnonzero(lone.any(axis=0)).tolist():
+            alone_at.setdefault(i, tuple(W[lone[:, i].argmax()].tolist()))
 
     witnesses = {}
-    alone = outside.sum(axis=1) == 1
     for i in range(len(basis.polys)):
-        first = np.flatnonzero(alone & outside[:, i])
-        w = tuple(W[first[0]].tolist()) if first.size else _walk_witness(basis, i)
+        w = alone_at.get(i) or _walk_witness(basis, i)
         if w is None:
             raise AxiomFailure(
                 f"axiom 2: no point found in the intersection without member {i}",

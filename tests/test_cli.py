@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import amoebas.cli as cli
 import amoebas.numeric as numeric
 from amoebas.cli import main
 
@@ -194,17 +195,28 @@ def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
         (("raster", "--poly", "0", "--output", "OUT.svg"), 3),
         (("order", "--poly", "0", "--point", "0,0"), 3),
         (("basis", "--linear", "0.5,0.5;2,-1", "--samples", "1000001"), 2),
+        (("betti", "--poly", "z1+z2+1", "--res", "30000,30000", "--output", "OUT.ppm"), 2),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
          "nan-box", "inf-box", "huge-box", "lopsided-overflow", "member-overflow",
          "classify-overflow", "contour-monomial", "contour-zero-poly",
          "boundary-monomial", "boundary-zero-poly", "betti-monomial", "betti-zero-poly",
-         "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap"],
+         "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap",
+         "res-above-cap"],
 )
-def test_parsed_but_invalid_query_is_an_exit_code(capsys, tmp_path, argv, expected):
+def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
+                                                  expected):
     # an OUT.* argument is an --output file in tmp_path, which must stay empty
     argv = [str(tmp_path / a) if a.startswith("OUT.") else a for a in argv]
+    real_grids = cli.amoeba_grids
+
+    def grids(f, window, res):
+        # a grid above the cell ceiling must be refused, never allocated
+        assert res[0] * res[1] <= 10**6
+        return real_grids(f, window, res)
+
+    monkeypatch.setattr(cli, "amoeba_grids", grids)
     try:
         code, out, err = run(capsys, *argv)
     except SystemExit as exc:
@@ -220,8 +232,9 @@ def test_parsed_but_invalid_query_is_an_exit_code(capsys, tmp_path, argv, expect
 
 
 def test_order_beyond_the_exponential_range(capsys):
-    # e^800 overflows a float; every slice root lies inside that radius,
-    # and the order is the dominant vertex, as the lopsided certificate says
+    # e^800 overflows a float, but the order slices are read on the torus
+    # over the point, and the order is the dominant vertex, as the lopsided
+    # certificate says
     poly, point = "z1*z2 + 1 + z1", "800,-800"
     code, out, _ = run(capsys, "classify", "--poly", poly, "--point", point)
     assert code == 0

@@ -435,6 +435,34 @@ def test_lopsided_certificate_and_silence():
     assert lopsided(f, (math.log(0.5), math.log(0.5))) is None
 
 
+def test_a_tiny_coefficient_is_weighed_on_its_torus():
+    # 1e-15 * z2 has modulus 1e-15 e^40 ~ 235 on the fiber over (0, 40),
+    # against 1 for each other term: a complement point of order (0, 1)
+    f = parse_poly("1 + z1 + 1e-15*z2", 2)
+    assert classify(f, (0.0, 40.0)).tag == "Complement"
+    assert order(f, (0.0, 40.0)) == (0, 1)
+    assert lopsided(f, (0.0, 40.0)) == (0, 1)
+
+
+@pytest.mark.parametrize("lam", [1e-15, 1e15])
+def test_a_coefficient_scale_is_a_torus_shift(lam):
+    # z2 -> lam z2 maps 1 + z1 + z2 to 1 + z1 + lam z2, whose amoeba is the
+    # first one shifted by (0, -log lam): every verdict shifts along
+    base = parse_poly("1 + z1 + z2", 2)
+    scaled = parse_poly(f"1 + z1 + {lam!r}*z2", 2)
+    shift = -math.log(lam)
+    tags = set()
+    for w1 in np.linspace(-2.3, 2.1, 9):
+        for w2 in np.linspace(-2.1, 2.3, 9):
+            a = classify(base, (w1, w2))
+            b = classify(scaled, (w1, w2 + shift))
+            assert (b.tag, len(b.solutions)) == (a.tag, len(a.solutions)), (w1, w2)
+            if a.tag == "Complement":
+                assert order(scaled, (w1, w2 + shift)) == order(base, (w1, w2))
+            tags.add(a.tag)
+    assert tags == {"Complement", "Interior"}
+
+
 def test_lopsided_and_order_reject_non_finite_points():
     f = parse_poly("1 + z1 + z2", 2)
     for query in (lopsided, order):

@@ -14,6 +14,7 @@ from amoebas import (
     fiber_restrict,
     log_gauss_numerator,
     newton_polytope,
+    parse_poly,
 )
 from amoebas.fiber import _dense
 
@@ -50,6 +51,22 @@ def test_evaluate_order_independence():
     f2 = LaurentPoly(2, dict(reversed(items)))
     z = (1.0000001, 0.9999999)
     assert evaluate(f1, z) == evaluate(f2, z)
+
+
+def test_sums_keep_a_tiny_coefficient():
+    # terms of different exponents are never compared with one another
+    f = parse_poly("1 + z1 + 1e-15*z2", 2)
+    assert f.terms[(0, 1)] == 1e-15
+    assert (LaurentPoly(2, {(1, 0): 2.0}) * f).terms[(1, 1)] == 2e-15
+
+
+def test_sums_drop_cancellation_residue():
+    # 0.1 + 0.2 - 0.3 leaves 5.6e-17, rounding residue of a cancellation
+    f = parse_poly("1 + 0.1*z1 + 0.2*z1 - 0.3*z1 + z2", 2)
+    assert set(f.terms) == {(0, 0), (0, 1)}
+    assert (f - f).terms == {}
+    g = parse_poly("(z1 + 1)*(z1 - 1)", 1)
+    assert set(g.terms) == {(0,), (2,)}
 
 
 def test_log_gauss_numerator_keeps_exponent():

@@ -312,3 +312,23 @@ def test_removed_member_fails_axiom_one_at_the_first_sample_inside_the_rest():
     assert err.value.witness == first
     # as recorded with the per-sample loop that the array pass replaced
     assert err.value.witness == (-1.3951937324820372, -0.6562189091968573)
+
+
+def _basis_outcomes():
+    """The report of a sound basis and the failure of one without its first member."""
+    basis = amoeba_basis(REFERENCE)
+    report = verify_basis(basis, samples=1000)
+    with pytest.raises(AxiomFailure) as err:
+        verify_basis(AmoebaBasis(basis.polys[1:], basis.witness))
+    return ((report.samples, report.escapes, report.minimality_witnesses, report.rank),
+            (err.value.axiom, err.value.witness))
+
+
+@pytest.mark.parametrize("block", [2, 7])
+def test_sample_blocks_change_no_verdict(monkeypatch, block):
+    # the seeded stream comes out the same drawn in chunks; with blocks of
+    # 2 the first stuck sample (index 2) lies in the second block, with
+    # blocks of 7 member 1's first lone sample (index 24) in the fourth
+    default = _basis_outcomes()
+    monkeypatch.setattr(linear, "_SAMPLE_BLOCK", block)
+    assert _basis_outcomes() == default
