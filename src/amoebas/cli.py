@@ -138,16 +138,18 @@ def _floats(text, count=None):
 def _window_arg(text):
     x0, y0, x1, y1 = _floats(text, 4)
     if not (x1 > x0 and y1 > y0):
-        raise ValueError("window must be min1,min2,max1,max2 with max > min")
+        raise argparse.ArgumentTypeError(
+            f"window must be min1,min2,max1,max2 with max > min, got {text}")
     return ((x0, y0), (x1, y1))
 
 
 def _res_arg(text):
     nx, ny = (int(p) for p in text.split(","))
     if nx < 2 or ny < 2:
-        raise ValueError("resolution must be at least 2,2")
+        raise argparse.ArgumentTypeError(f"resolution must be at least 2,2, got {text}")
     if nx * ny > _MAX_CELLS:
-        raise ValueError(f"resolution must have at most {_MAX_CELLS} cells")
+        raise argparse.ArgumentTypeError(
+            f"resolution must have at most {_MAX_CELLS} cells, got {text} ({nx * ny} cells)")
     return (nx, ny)
 
 
@@ -155,21 +157,22 @@ def _positive_float(text):
     v = float(text)
     # the sampling box spans 2 * v, which must stay a finite float
     if not (v > 0 and math.isfinite(2.0 * v)):
-        raise ValueError("must be positive and finite")
+        raise argparse.ArgumentTypeError(
+            f"must be positive and at most {sys.float_info.max / 2:.6g}, got {text}")
     return v
 
 
 def _positive_int(text):
     v = int(text)
     if v <= 0:
-        raise ValueError("must be positive")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return v
 
 
 def _sample_count(text):
     v = _positive_int(text)
     if v > _MAX_SAMPLES:
-        raise ValueError(f"must be at most {_MAX_SAMPLES}")
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_SAMPLES}, got {text}")
     return v
 
 

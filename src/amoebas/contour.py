@@ -149,10 +149,6 @@ def _backsub_slices(state, found):
             continue
         slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
         _vertical_guard(gb, t1, slice_c)
-        if gb.shape[1] == 1:
-            # f lost z2 as well: no t2 to solve for, and the guard has
-            # already rejected a shared root, which would carry a full line
-            continue
         out.append((t1, UniPoly(slice_c)))
     return state, out
 

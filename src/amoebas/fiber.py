@@ -48,9 +48,6 @@ CRITICAL_TOL = 1e-6
 # of multiple roots; the polished residual makes the actual decision
 UNIT_BAND = 0.02
 
-# a root of a univariate restriction this close to |t| = 1 is a full circle
-UNIT_ROOT_TOL = 1e-6
-
 # resultant clusters near |t| = 1 closer than this (relative) are merged
 MERGE_RADIUS = 3e-3
 
@@ -254,19 +251,19 @@ def _merge_near_unit(clusters):
 def _eliminate(f, w):
     """Restriction, lopsided shortcut and resultant of the fiber over w.
 
-    Returns None when the fiber has no torus point without a root finder
-    (a constant restriction, or a dominant coefficient), else (state, p):
-    (None, the restriction) when it has one torus variable only, or
-    ((gb, coeff_sum), its resultant with the mirror g*, in t1), with the
-    dense restriction and the sum of its coefficient moduli.
+    Returns None when one coefficient of the restriction g outweighs the
+    rest (no torus point, no root finder needed), else ((gb, coeff_sum),
+    the resultant of g with its mirror g* in t1), with the dense
+    restriction and the sum of its coefficient moduli.  A restriction
+    without t2 is transposed, so every restriction takes this one way: a
+    univariate g gives a constant resultant, which vanishes when g and g*
+    share a root, i.e. when the fiber meets the variety in full circles
+    (DegenerateFiber).
     """
     g, _ = fiber_restrict(f, w)
     gb = _dense(g)
-    if gb.size == 1:
-        return None
-    if 1 in gb.shape:
-        return None, UniPoly(gb.ravel())
-
+    if gb.shape[1] == 1:
+        gb = gb.T
     mods = np.abs(gb)
     coeff_sum = float(mods.sum())
     # lopsided shortcut: one coefficient outweighing the rest rules out
@@ -285,15 +282,12 @@ def _backsub_slices(state, found):
 
     Returns ((gb, coeff_sum, clusters), slices): the merged (center,
     multiplicity) pairs, and a ((cluster id, t1), slice in t2) pair per
-    cluster within UNIT_BAND of the unit circle.  A univariate restriction
-    (state None) has no isolated torus point, and a root of it within
-    UNIT_ROOT_TOL of |t| = 1 means full circles: DegenerateFiber.
+    cluster within UNIT_BAND of the unit circle.  A slice below 1e-13 x
+    coeff_sum has vanished, and the mirror's slice at the same t1 decides
+    what that means: if it vanishes too, g and g* share a t2-free factor,
+    a full circle on the torus (DegenerateFiber); if not, the line
+    t1 = const misses the torus and the cluster has no candidate.
     """
-    if state is None:
-        if any(abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL for cl in found):
-            raise DegenerateFiber("restriction is univariate with a unit root: "
-                                  "the fiber meets the variety in full circles")
-        return (None, 0.0, []), []
     gb, coeff_sum = state
     clusters = _merge_near_unit(found)
     out = []
@@ -301,9 +295,13 @@ def _backsub_slices(state, found):
         if not (abs(abs(t1) - 1.0) <= UNIT_BAND):  # also drops non-finite centers
             continue
         # back-substitute: univariate slice in t2
-        slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
+        powers = t1 ** np.arange(gb.shape[0])
+        slice_c = powers @ gb
         if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum:
-            raise DegenerateFiber("slice of the restriction vanished identically")
+            if np.max(np.abs(powers @ np.conj(gb)[::-1, ::-1])) < 1e-13 * coeff_sum:
+                raise DegenerateFiber("restriction and its mirror share a factor: "
+                                      "the fiber meets the variety in full circles")
+            continue
         out.append(((ci, t1), UniPoly(slice_c)))
     return (gb, coeff_sum, clusters), out
 
@@ -424,11 +422,13 @@ def _check_curve(f):
 def _fibers(f, ws):
     """Fiber solves at many points, through ``_staged``.
 
-    The stages are: restriction, shortcut and resultant per point; the
-    merge, the band filter and the back-substitution slices per point;
-    polishing and grouping per candidate.  Returns an iterator with one
-    entry per point: (solutions, gauss_pairs) sorted by phi, or the
-    DegenerateFiber or NoConvergence raised for that point alone.
+    The stages are: restriction, shortcut and resultant per point, for
+    restrictions in one torus variable too; the merge, the band filter and
+    the back-substitution slices per point; polishing and grouping per
+    candidate.  A fiber is DegenerateFiber when the restriction and its
+    mirror share a factor, seen by the resultant or by a vanished slice.  Returns an iterator with one entry per point: (solutions,
+    gauss_pairs) sorted by phi, or the DegenerateFiber or NoConvergence
+    raised for that point alone.
     """
     _check_curve(f)
     solved = _staged(ws, functools.partial(_eliminate, f), _backsub_slices,

@@ -96,22 +96,13 @@ def cell_walls(r):
     cells = np.asarray(r.cells)
     if not np.issubdtype(cells.dtype, np.integer):
         raise ValueError("cell walls are defined for Betti rasters")
-    nx, ny = r.resolution
-    walls = set()
-    zero_walls = set()
-    for i in range(nx):
-        for j in range(ny):
-            a = cells[i, j]
-            if a < 0:
-                continue
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if not (0 <= ii < nx and 0 <= jj < ny):
-                    continue
-                b = cells[ii, jj]
-                if b < 0 or b == a:
-                    continue
-                walls.add((i, j))
-                if a > 0 and b == 0:
-                    zero_walls.add((i, j))
-    return sorted(walls), sorted(zero_walls)
+    # signed, so that the padding reads as sentinel cells for any int dtype
+    pad = np.pad(cells.astype(np.int64), 1, constant_values=SENTINEL)
+    walls = np.zeros(cells.shape, dtype=bool)
+    zero_walls = np.zeros(cells.shape, dtype=bool)
+    for b in (pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2]):
+        differs = (cells >= 0) & (b >= 0) & (b != cells)
+        walls |= differs
+        zero_walls |= differs & (cells > 0) & (b == 0)
+    return ([tuple(ij) for ij in np.argwhere(walls).tolist()],
+            [tuple(ij) for ij in np.argwhere(zero_walls).tolist()])

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -166,36 +167,48 @@ def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
     assert err.startswith("error: resultant interpolation failed its probe self-check")
 
 
+MONOMIAL = "a monomial has no zeros in the torus"
+ZERO = "zero polynomial vanishes on every fiber"
+OVERFLOW = "<alpha, w> overflows for alpha=(1, 1)"
+BOX = "must be positive and at most 8.98847e+307, got "
+
+
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, says",
     [
-        (("basis", "--linear", "nan,1;1,1"), 2),
-        (("basis", "--linear", "2"), 2),
-        (("classify", "--poly", CUBIC, "--point", "0,0,0"), 2),
-        (("member", "--poly", CUBIC, "--point", "0,0,0"), 2),
-        (("fiber", "--poly", CUBIC, "--point", "0,0,0"), 2),
-        (("classify", "--poly", "z1", "--point", "0,0"), 3),
-        (("classify", "--poly", "0", "--point", "0,0"), 3),
-        (("contour", "--poly", CUBIC, "--slices", "0"), 2),
-        (("boundary", "--poly", CUBIC, "--slices", "0"), 2),
-        (("basis", "--linear", "1,2;3,4", "--samples", "-1"), 2),
-        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "nan"), 2),
-        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "inf"), 2),
-        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "1e308"), 2),
-        (("lopsided", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
-        (("member", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
-        (("classify", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3),
-        (("contour", "--poly", "z1", "--output", "OUT.csv"), 3),
-        (("contour", "--poly", "0"), 3),
-        (("boundary", "--poly", "z1"), 3),
-        (("boundary", "--poly", "0", "--output", "OUT.csv"), 3),
-        (("betti", "--poly", "z1", "--output", "OUT.ppm"), 3),
-        (("betti", "--poly", "0", "--output", "OUT.ppm"), 3),
-        (("raster", "--poly", "z1", "--output", "OUT.svg"), 3),
-        (("raster", "--poly", "0", "--output", "OUT.svg"), 3),
-        (("order", "--poly", "0", "--point", "0,0"), 3),
-        (("basis", "--linear", "0.5,0.5;2,-1", "--samples", "1000001"), 2),
-        (("betti", "--poly", "z1+z2+1", "--res", "30000,30000", "--output", "OUT.ppm"), 2),
+        (("basis", "--linear", "nan,1;1,1"), 2, "matrix entries must be finite"),
+        (("basis", "--linear", "2"), 2, "needs at least two variables"),
+        (("classify", "--poly", CUBIC, "--point", "0,0,0"), 2, "a point with two coordinates"),
+        (("member", "--poly", CUBIC, "--point", "0,0,0"), 2, "a point with two coordinates"),
+        (("fiber", "--poly", CUBIC, "--point", "0,0,0"), 2, "a point with two coordinates"),
+        (("classify", "--poly", "z1", "--point", "0,0"), 3, MONOMIAL),
+        (("classify", "--poly", "0", "--point", "0,0"), 3, ZERO),
+        (("contour", "--poly", CUBIC, "--slices", "0"), 2, "--slices: must be at least 1, got 0"),
+        (("boundary", "--poly", CUBIC, "--slices", "0"), 2,
+         "--slices: must be at least 1, got 0"),
+        (("basis", "--linear", "1,2;3,4", "--samples", "-1"), 2,
+         "--samples: must be at least 1, got -1"),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "nan"), 2, BOX + "nan"),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "inf"), 2, BOX + "inf"),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--box", "1e308"), 2, BOX + "1e308"),
+        (("lopsided", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3, OVERFLOW),
+        (("member", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3, OVERFLOW),
+        (("classify", "--poly", "z1*z2 + 1", "--point", "1e308,1e308"), 3, OVERFLOW),
+        (("contour", "--poly", "z1", "--output", "OUT.csv"), 3, MONOMIAL),
+        (("contour", "--poly", "0"), 3, ZERO),
+        (("boundary", "--poly", "z1"), 3, MONOMIAL),
+        (("boundary", "--poly", "0", "--output", "OUT.csv"), 3, ZERO),
+        (("betti", "--poly", "z1", "--output", "OUT.ppm"), 3, MONOMIAL),
+        (("betti", "--poly", "0", "--output", "OUT.ppm"), 3, ZERO),
+        (("raster", "--poly", "z1", "--output", "OUT.svg"), 3, MONOMIAL),
+        (("raster", "--poly", "0", "--output", "OUT.svg"), 3, ZERO),
+        (("order", "--poly", "0", "--point", "0,0"), 3, ZERO),
+        (("basis", "--linear", "0.5,0.5;2,-1", "--samples", "1000001"), 2,
+         "--samples: must be at most 1000000, got 1000001"),
+        (("betti", "--poly", "z1+z2+1", "--res", "30000,30000", "--output", "OUT.ppm"), 2,
+         "--res: resolution must have at most 1000000 cells, got 30000,30000"),
+        (("betti", "--poly", "z1+z2+1", "--window", "1,1,0,0", "--output", "OUT.ppm"), 2,
+         "--window: window must be min1,min2,max1,max2 with max > min, got 1,1,0,0"),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
@@ -203,10 +216,10 @@ def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
          "classify-overflow", "contour-monomial", "contour-zero-poly",
          "boundary-monomial", "boundary-zero-poly", "betti-monomial", "betti-zero-poly",
          "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap",
-         "res-above-cap"],
+         "res-above-cap", "empty-window"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
-                                                  expected):
+                                                  expected, says):
     # an OUT.* argument is an --output file in tmp_path, which must stay empty
     argv = [str(tmp_path / a) if a.startswith("OUT.") else a for a in argv]
     real_grids = cli.amoeba_grids
@@ -228,6 +241,9 @@ def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path,
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    # the message states the rule or limit, never a private function's name
+    assert says in err
+    assert re.search(r"\b_[a-z]", err) is None
     assert list(tmp_path.iterdir()) == []
 
 

@@ -104,6 +104,19 @@ def test_trace_skips_degenerate_slices_with_one_warning():
     assert pts == []
 
 
+def test_z2_free_curve_with_an_off_origin_critical_point():
+    # 1 + z1 + z1^2 is critical at z1 = -1/2, where g(-1/2, .) = 3/4 is a
+    # degree-0 slice in z2 with no root: no point, and theta = pi/2 is
+    # degenerate as for 1 + z1
+    with pytest.warns(SkippedSlices) as caught:
+        pts = trace_contour(parse_poly("1 + z1 + z1^2", 2), 12)
+    assert pts == []
+    assert [str(w.message) for w in caught] == [
+        "skipped 1 of 12 slices; first at theta=1.570796: "
+        "Gauss combination vanishes identically at theta=1.570796"
+    ]
+
+
 def test_degenerate_slice_raises():
     f = parse_poly("1 + z1", 2)
     with pytest.raises(DegenerateSlice):

@@ -29,6 +29,7 @@ from amoebas import (
     trace_contour,
 )
 from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _dense, _eval_bi, _score, _solve_fiber
+from amoebas.numeric import RootCluster
 
 from oracles import brute_member, eval_at_phases
 
@@ -241,6 +242,81 @@ def test_degenerate_univariate_restriction():
     assert fiber_solutions(f, (0.0, 0.0)) == []
 
 
+def test_univariate_restriction_needs_no_root_finder(monkeypatch):
+    # z1^3 - 2 z1 + 5 restricts to a polynomial in t1 alone, whose
+    # resultant with its mirror is a nonzero constant away from the root
+    # moduli: one Aberth sweep, which leaves its roots unconverged, cannot
+    # touch the verdict
+    f = parse_poly("z1^3 - 2*z1 + 5", 2)
+    monkeypatch.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
+    restriction = _dense(fiber_restrict(f, (0.5, 0.0))[0])[:, 0]
+    assert restriction.size == 4 and not all(cl.converged for cl in roots(restriction))
+    assert classify(f, (0.5, 0.0)).tag == "Complement"
+
+
+def univariate_cases(seed, count):
+    """Seeded polynomials in one variable, each at a point near a root modulus.
+
+    Yields (f, w, dist): w puts the fiber at log|r| + delta for a root r
+    of f, and dist is the distance of the nearest restriction root from
+    |t| = 1, from mpmath's polyroots at 50 digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(seed)
+    for k in range(count):
+        deg, lo, var = rng.randint(1, 4), rng.randint(-2, 1), k % 2
+        coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg + 1)]
+        exps = [(lo + i, 0) if var == 0 else (0, lo + i) for i in range(deg + 1)]
+        f = LaurentPoly(2, dict(zip(exps, coeffs)))
+        with mpmath.workdps(50):
+            found = mpmath.polyroots([mpmath.mpc(c) for c in coeffs[::-1]],
+                                     maxsteps=200, extraprec=200)
+            wv = float(mpmath.log(abs(rng.choice(found)))) + (
+                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -2))
+            dist = float(min(abs(abs(r) / mpmath.exp(wv) - 1) for r in found))
+        other = rng.uniform(-2.0, 2.0)
+        yield f, ((wv, other) if var == 0 else (other, wv)), dist
+
+
+def test_univariate_verdicts_match_a_50_digit_root_census():
+    # the fiber over a root modulus holds a full circle; nearby it is empty
+    tags = set()
+    for f, w, dist in univariate_cases(20261019, 300):
+        tag = classify(f, w).tag
+        if tag == "Degenerate":
+            assert dist <= 1e-6, (dict(f.terms), w, dist)
+        else:
+            assert tag == "Complement" and dist >= 1e-13, (dict(f.terms), w, dist, tag)
+        tags.add(tag)
+    assert tags == {"Complement", "Degenerate"}
+
+
+# (z1 - 1)(1 + z1 + z2) holds the line z1 = 1, whose fiber circles lie over
+# w1 = 0 only; nearby, the restriction's slice at t1 = e^-w1 vanishes, but
+# that t1 is off the torus, and the fiber holds the two points of the line
+# factor, as the swapped curve finds them
+LINE_TIMES_LINE = "(z1 - 1)*(1 + z1 + z2)"
+
+
+@pytest.mark.parametrize("w", [(0.01, 0.0), (-0.01, 0.0), (0.02, 0.3)])
+def test_vanished_slice_off_the_torus_is_skipped(w):
+    sols = fiber_solutions(parse_poly(LINE_TIMES_LINE, 2), w)
+    swapped = fiber_solutions(parse_poly("(z2 - 1)*(1 + z2 + z1)", 2), w[::-1])
+    assert len(sols) == 2
+    expected = sorted((s.phi[::-1], s.multiplicity, s.critical) for s in swapped)
+    for s, (phi, mult, critical) in zip(sols, expected):
+        assert angdist(s.phi[0], phi[0]) < 1e-9 and angdist(s.phi[1], phi[1]) < 1e-9
+        assert (s.multiplicity, s.critical) == (mult, critical)
+
+
+def test_vanished_slice_and_mirror_slice_are_a_full_circle():
+    # an exact resultant cluster at t1 = 1 over w1 = 0: g and g* both
+    # vanish on that line, which lies on the torus
+    state, _ = amoebas.fiber._eliminate(parse_poly(LINE_TIMES_LINE, 2), (0.0, 0.3))
+    with pytest.raises(DegenerateFiber):
+        amoebas.fiber._backsub_slices(state, [RootCluster(1.0, 2, 0.0)])
+
+
 def test_unconverged_resultant_root_near_the_circle_raises(monkeypatch):
     # 1 + z1 + z2 meets the unit torus twice; one Aberth sweep leaves
     # resultant roots unconverged within the unit band, which must not
@@ -308,9 +384,6 @@ def test_every_root_set_must_converge(monkeypatch):
     # roots; unchecked, they read as an empty slice or a wrong order
     f = parse_poly(CUBIC, 2)
     points = trace_contour(f, 8)
-    # a polynomial in z1 alone has univariate restrictions, which share
-    # the batch and the check
-    univariate = parse_poly("z1^3 - 2*z1 + 5", 2)
     solves = {
         "classify": lambda: classify(f, (0.0, 0.0)),
         "fiber_solutions": lambda: fiber_solutions(f, (0.0, 0.0)),
@@ -319,7 +392,6 @@ def test_every_root_set_must_converge(monkeypatch):
         "contour_slice": lambda: contour_slice(f, 0.3),
         "trace_contour": lambda: trace_contour(f, 8),
         "classify_contour": lambda: classify_contour(f, points),
-        "univariate": lambda: classify(univariate, (0.5, 0.0)),
     }
     for solve in solves.values():
         solve()

@@ -1,11 +1,13 @@
-"""Every import in the package source is used.
+"""Every import and every module-level constant in the package source is used.
 
-A name counts as used when the module refers to it, or lists it in
-``__all__``.  An import line marked ``# noqa`` is exempt: it is kept for
-callers that look the name up in that module.
+An imported name counts as used when the module refers to it, or lists it
+in ``__all__``.  An import line marked ``# noqa`` is exempt: it is kept
+for callers that look the name up in that module.  An ALL-CAPS constant
+counts as used when some module of the package reads it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,39 @@ def test_an_unused_import_is_reported(tmp_path):
         "x = math.pi\n"
     )
     assert unused_imports(mod) == [(3, "os"), (5, "_roots_batch")]
+
+
+def constant_references(paths):
+    """Module-level ALL-CAPS constants of paths -> (file, line, count of reads)."""
+    defined, reads = {}, Counter()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name) and t.id.lstrip("_").isupper():
+                        defined[t.id] = (path.name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                reads[node.name] += 1
+    return {name: (*where, reads[name]) for name, where in defined.items()}
+
+
+def test_every_constant_is_referenced():
+    # a threshold that outlived its rule reads as if it still decided something
+    found = constant_references(sorted(SRC.glob("*.py")))
+    assert "RESIDUAL_REL" in found and "_BATCH" in found
+    assert [(name, where) for name, (*where, refs) in sorted(found.items()) if not refs] == []
+
+
+def test_a_dead_constant_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from math import PI_LIKE\nUSED = 1\nDEAD = 2\n_PRIVATE_DEAD = 3\n"
+                   "lower = 4\ndef f():\n    return USED\n")
+    found = constant_references([mod])
+    assert {name: refs for name, (_, _, refs) in found.items()} == {
+        "USED": 1, "DEAD": 0, "_PRIVATE_DEAD": 0}

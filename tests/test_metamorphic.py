@@ -2,9 +2,11 @@
 
 Multiplying f by a monomial z^beta, conjugating its coefficients and
 scaling it by a constant leave the amoeba where it is; swapping z1 and
-z2 mirrors it in the diagonal.  Tags and fiber counts must follow
-exactly, and the order of a complement component shifts by beta under
-the monomial and swaps its entries under the swap.
+z2 mirrors it in the diagonal; scaling the torus, z -> e^lambda z, which
+multiplies each b_alpha by e^<alpha, lambda>, shifts it by -lambda.  Tags
+and fiber counts must follow exactly, and the order of a complement
+component shifts by beta under the monomial and swaps its entries under
+the swap.
 
 The checks run on a fixed grid, at the points whose verdict for the
 untransformed f is Complement, or Interior with every criticality score
@@ -31,9 +33,17 @@ GRID = [(float(w1), float(w2)) for w1 in np.linspace(-2, 2, 9) for w2 in np.lins
 
 BETA = (2, -1)
 
+LAMBDA = (0.75, -0.5)
+
 
 def _swap(f):
     return LaurentPoly(2, {(a2, a1): b for (a1, a2), b in f.terms.items()})
+
+
+def _torus_scale(f):
+    """f(e^LAMBDA z): each b_alpha times e^<alpha, LAMBDA>."""
+    return LaurentPoly(2, {a: b * np.exp(a[0] * LAMBDA[0] + a[1] * LAMBDA[1])
+                           for a, b in f.terms.items()})
 
 
 # name -> (f -> transformed f, w -> transformed point, order -> transformed order)
@@ -44,6 +54,8 @@ TRANSFORMS = {
                   lambda w: w, lambda o: o),
     "swap": (_swap, lambda w: (w[1], w[0]), lambda o: (o[1], o[0])),
     "scale": (lambda f: (-0.7 + 2.4j) * f, lambda w: w, lambda o: o),
+    "torus-scale": (_torus_scale, lambda w: (w[0] - LAMBDA[0], w[1] - LAMBDA[1]),
+                    lambda o: o),
 }
 
 

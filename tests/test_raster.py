@@ -109,6 +109,43 @@ def test_cell_walls_skip_sentinel_cells():
     assert zero_walls == [(1, 1)]
 
 
+def loop_cell_walls(cells):
+    """The neighbor loop cell_walls replaced, kept as its reference."""
+    nx, ny = cells.shape
+    walls, zero_walls = set(), set()
+    for i in range(nx):
+        for j in range(ny):
+            a = cells[i, j]
+            if a < 0:
+                continue
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ii, jj = i + di, j + dj
+                if not (0 <= ii < nx and 0 <= jj < ny):
+                    continue
+                b = cells[ii, jj]
+                if b < 0 or b == a:
+                    continue
+                walls.add((i, j))
+                if a > 0 and b == 0:
+                    zero_walls.add((i, j))
+    return sorted(walls), sorted(zero_walls)
+
+
+def test_cell_walls_match_the_neighbor_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        nx, ny = (int(v) for v in rng.integers(2, 9, 2))
+        # small counts, so that equal neighbors, zero cells and sentinel
+        # cells all occur
+        cells = rng.integers(SENTINEL, 4, (nx, ny))
+        walls, zero_walls = cell_walls(Raster(WINDOW, (nx, ny), cells))
+        assert (walls, zero_walls) == loop_cell_walls(cells)
+        assert all(type(v) is int for ij in walls + zero_walls for v in ij)
+    # an unsigned raster has no sentinel cells, and none along its border
+    cells = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    assert cell_walls(Raster(WINDOW, (2, 2), cells)) == loop_cell_walls(cells)
+
+
 def test_cell_walls_reject_tag_rasters():
     tags = amoeba_grids(CUBIC13, WINDOW, (3, 3))[1]
     with pytest.raises(ValueError):
