@@ -158,7 +158,7 @@ def _positive_float(text):
     # the sampling box spans 2 * v, which must stay a finite float
     if not (v > 0 and math.isfinite(2.0 * v)):
         raise argparse.ArgumentTypeError(
-            f"must be positive and at most {sys.float_info.max / 2:.6g}, got {text}")
+            f"must be positive and at most {sys.float_info.max / 2!r}, got {text}")
     return v
 
 

@@ -48,6 +48,9 @@ CRITICAL_TOL = 1e-6
 # of multiple roots; the polished residual makes the actual decision
 UNIT_BAND = 0.02
 
+# a factor in one torus variable with a root this close to |t| = 1 is a full circle
+UNIT_ROOT_TOL = 1e-6
+
 # resultant clusters near |t| = 1 closer than this (relative) are merged
 MERGE_RADIUS = 3e-3
 
@@ -251,14 +254,16 @@ def _merge_near_unit(clusters):
 def _eliminate(f, w):
     """Restriction, lopsided shortcut and resultant of the fiber over w.
 
-    Returns None when one coefficient of the restriction g outweighs the
-    rest (no torus point, no root finder needed), else ((gb, coeff_sum),
-    the resultant of g with its mirror g* in t1), with the dense
-    restriction and the sum of its coefficient moduli.  A restriction
-    without t2 is transposed, so every restriction takes this one way: a
-    univariate g gives a constant resultant, which vanishes when g and g*
-    share a root, i.e. when the fiber meets the variety in full circles
-    (DegenerateFiber).
+    Returns None when the fiber has no torus point before the t1 stage,
+    else ((gb, coeff_sum), the resultant of g with its mirror g* in t1),
+    with the dense restriction g and the sum of its coefficient moduli.
+    A restriction without t2 is transposed, so every restriction takes
+    the shortcut and the resultant.  A univariate g gives a constant
+    resultant, which vanishes when g and g* share a root: a root r on
+    |t| = 1, or a pair r, 1/conj(r) of one argument.  Only then are the
+    roots of g found, and they tell the two apart: a full circle
+    (DegenerateFiber) needs one within UNIT_ROOT_TOL of |t| = 1; pairs
+    alone leave no torus point (None).
     """
     g, _ = fiber_restrict(f, w)
     gb = _dense(g)
@@ -273,6 +278,9 @@ def _eliminate(f, w):
     try:
         res = sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
     except IdenticallyZero as exc:
+        if gb.shape[0] == 1 and not any(abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL
+                                        for cl in _converged(_roots_batch([gb[0]])[0])):
+            return None
         raise DegenerateFiber("fiber shares a component with the variety") from exc
     return (gb, coeff_sum), res
 
@@ -283,10 +291,10 @@ def _backsub_slices(state, found):
     Returns ((gb, coeff_sum, clusters), slices): the merged (center,
     multiplicity) pairs, and a ((cluster id, t1), slice in t2) pair per
     cluster within UNIT_BAND of the unit circle.  A slice below 1e-13 x
-    coeff_sum has vanished, and the mirror's slice at the same t1 decides
-    what that means: if it vanishes too, g and g* share a t2-free factor,
-    a full circle on the torus (DegenerateFiber); if not, the line
-    t1 = const misses the torus and the cluster has no candidate.
+    coeff_sum has vanished: g has the t2-free factor t1 - c.  With c
+    within UNIT_ROOT_TOL of |t| = 1 that is a full circle on the torus
+    (DegenerateFiber); farther off, the line t1 = c misses the torus and
+    the cluster has no candidate.
     """
     gb, coeff_sum = state
     clusters = _merge_near_unit(found)
@@ -295,11 +303,10 @@ def _backsub_slices(state, found):
         if not (abs(abs(t1) - 1.0) <= UNIT_BAND):  # also drops non-finite centers
             continue
         # back-substitute: univariate slice in t2
-        powers = t1 ** np.arange(gb.shape[0])
-        slice_c = powers @ gb
+        slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
         if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum:
-            if np.max(np.abs(powers @ np.conj(gb)[::-1, ::-1])) < 1e-13 * coeff_sum:
-                raise DegenerateFiber("restriction and its mirror share a factor: "
+            if abs(abs(t1) - 1.0) < UNIT_ROOT_TOL:
+                raise DegenerateFiber("restriction has a t2-free factor with a unit root: "
                                       "the fiber meets the variety in full circles")
             continue
         out.append(((ci, t1), UniPoly(slice_c)))
@@ -425,8 +432,10 @@ def _fibers(f, ws):
     The stages are: restriction, shortcut and resultant per point, for
     restrictions in one torus variable too; the merge, the band filter and
     the back-substitution slices per point; polishing and grouping per
-    candidate.  A fiber is DegenerateFiber when the restriction and its
-    mirror share a factor, seen by the resultant or by a vanished slice.  Returns an iterator with one entry per point: (solutions,
+    candidate.  A fiber is DegenerateFiber when the resultant vanishes
+    identically (for a univariate restriction, with a root of it within
+    UNIT_ROOT_TOL of |t| = 1), or when a vanished slice has its t1 there.
+    Returns an iterator with one entry per point: (solutions,
     gauss_pairs) sorted by phi, or the DegenerateFiber or NoConvergence
     raised for that point alone.
     """

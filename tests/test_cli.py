@@ -170,7 +170,7 @@ def test_failed_resultant_self_check_is_exit_4(capsys, monkeypatch):
 MONOMIAL = "a monomial has no zeros in the torus"
 ZERO = "zero polynomial vanishes on every fiber"
 OVERFLOW = "<alpha, w> overflows for alpha=(1, 1)"
-BOX = "must be positive and at most 8.98847e+307, got "
+BOX = "must be positive and at most 8.988465674311579e+307, got "
 
 
 @pytest.mark.parametrize(

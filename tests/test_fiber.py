@@ -1,5 +1,6 @@
 """Fiber-torus membership, classification, order, and lopsidedness."""
 
+import cmath
 import math
 import random
 
@@ -10,6 +11,7 @@ import amoebas.fiber
 import amoebas.numeric
 from amoebas import (
     DegenerateFiber,
+    IdenticallyZero,
     InconsistentOrder,
     LaurentPoly,
     NoConvergence,
@@ -26,6 +28,7 @@ from amoebas import (
     order,
     parse_poly,
     roots,
+    sylvester_resultant,
     trace_contour,
 )
 from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _dense, _eval_bi, _score, _solve_fiber
@@ -254,34 +257,69 @@ def test_univariate_restriction_needs_no_root_finder(monkeypatch):
     assert classify(f, (0.5, 0.0)).tag == "Complement"
 
 
-def univariate_cases(seed, count):
+def test_a_root_pair_off_the_circle_is_no_full_circle():
+    # roots 2, 0.5 and -1.5: over w1 = 0 the restriction and its mirror
+    # share the pair 2, 1/2, so their resultant vanishes, but no root lies
+    # on |t| = 1 and the term sum is not lopsided (2 x 2.75 < 6.25)
+    f = parse_poly("z1^3 - z1^2 - 2.75*z1 + 1.5", 2)
+    gb = _dense(fiber_restrict(f, (0.0, 0.0))[0]).T
+    with pytest.raises(IdenticallyZero):
+        sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
+    assert lopsided(f, (0.0, 0.0)) is None
+    assert classify(f, (0.0, 0.0)).tag == "Complement"
+    assert classify(f, (math.log(2.0), 0.0)).tag == "Degenerate"
+
+
+def univariate_cases(seed, count, pairs=False):
     """Seeded polynomials in one variable, each at a point near a root modulus.
 
     Yields (f, w, dist): w puts the fiber at log|r| + delta for a root r
     of f, and dist is the distance of the nearest restriction root from
-    |t| = 1, from mpmath's polyroots at 50 digits.
+    |t| = 1, from mpmath's polyroots at 50 digits.  With ``pairs``, f has
+    two roots r, s of one argument (real ones, and real coefficients, in
+    every other case) and w sits at the mean of log|r| and log|s|, where
+    the restriction and its mirror share both roots.
     """
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(seed)
     for k in range(count):
-        deg, lo, var = rng.randint(1, 4), rng.randint(-2, 1), k % 2
-        coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg + 1)]
-        exps = [(lo + i, 0) if var == 0 else (0, lo + i) for i in range(deg + 1)]
+        lo, var = rng.randint(-2, 1), k % 2
+        if pairs:
+            mid, gap = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-8, 0)
+            if k % 4 < 2:
+                sign = rng.choice((-1.0, 1.0))
+                zs = [sign * math.exp(mid + gap), sign * math.exp(mid - gap)]
+                zs += [rng.uniform(-2, 2) for _ in range(rng.randint(0, 2))]
+            else:
+                arg = rng.uniform(0.0, TAU)
+                zs = [cmath.rect(math.exp(mid + gap), arg), cmath.rect(math.exp(mid - gap), arg)]
+                zs += [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                       for _ in range(rng.randint(0, 2))]
+            coeffs = [complex(c) for c in np.poly(zs)[::-1]]
+        else:
+            coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                      for _ in range(rng.randint(1, 4) + 1)]
+        exps = [(lo + i, 0) if var == 0 else (0, lo + i) for i in range(len(coeffs))]
         f = LaurentPoly(2, dict(zip(exps, coeffs)))
         with mpmath.workdps(50):
             found = mpmath.polyroots([mpmath.mpc(c) for c in coeffs[::-1]],
                                      maxsteps=200, extraprec=200)
-            wv = float(mpmath.log(abs(rng.choice(found)))) + (
-                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -2))
+            if pairs:
+                wv = mid
+            else:
+                wv = float(mpmath.log(abs(rng.choice(found)))) + (
+                    rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -2))
             dist = float(min(abs(abs(r) / mpmath.exp(wv) - 1) for r in found))
         other = rng.uniform(-2.0, 2.0)
         yield f, ((wv, other) if var == 0 else (other, wv)), dist
 
 
-def test_univariate_verdicts_match_a_50_digit_root_census():
-    # the fiber over a root modulus holds a full circle; nearby it is empty
+@pytest.mark.parametrize("pairs", [False, True], ids=["near-a-root", "between-a-pair"])
+def test_univariate_verdicts_match_a_50_digit_root_census(pairs):
+    # the fiber over a root modulus holds a full circle; nearby it is
+    # empty, and so it is between two roots of one argument
     tags = set()
-    for f, w, dist in univariate_cases(20261019, 300):
+    for f, w, dist in univariate_cases(20261019, 300, pairs):
         tag = classify(f, w).tag
         if tag == "Degenerate":
             assert dist <= 1e-6, (dict(f.terms), w, dist)
@@ -309,12 +347,27 @@ def test_vanished_slice_off_the_torus_is_skipped(w):
         assert (s.multiplicity, s.critical) == (mult, critical)
 
 
-def test_vanished_slice_and_mirror_slice_are_a_full_circle():
-    # an exact resultant cluster at t1 = 1 over w1 = 0: g and g* both
-    # vanish on that line, which lies on the torus
+def test_vanished_slice_on_the_unit_circle_is_a_full_circle():
+    # an exact resultant cluster at t1 = 1 over w1 = 0: g vanishes on the
+    # line t1 = 1, which lies on the torus
     state, _ = amoebas.fiber._eliminate(parse_poly(LINE_TIMES_LINE, 2), (0.0, 0.3))
     with pytest.raises(DegenerateFiber):
         amoebas.fiber._backsub_slices(state, [RootCluster(1.0, 2, 0.0)])
+
+
+def test_vanished_slices_of_a_root_pair_off_the_circle_are_skipped():
+    # z1^2 - (1.01 + 1/1.01) z1 + 1 has the roots 1.01 and 1/1.01, both in
+    # the unit band: g and its mirror vanish on both lines, neither of
+    # which meets the torus, and the line factor keeps its two points
+    f = parse_poly("(z1^2 - 2.0000990099009901*z1 + 1)*(1 + z1 + z2)", 2)
+    state, _ = amoebas.fiber._eliminate(f, (0.0, 0.0))
+    pair = [RootCluster(1.01, 2, 0.0), RootCluster(1.0 / 1.01, 2, 0.0)]
+    assert amoebas.fiber._backsub_slices(state, pair)[1] == []
+    line = fiber_solutions(parse_poly("1 + z1 + z2", 2), (0.0, 0.0))
+    sols = fiber_solutions(f, (0.0, 0.0))
+    assert len(sols) == len(line) == 2
+    for s, t in zip(sols, line):
+        assert angdist(s.phi[0], t.phi[0]) < 1e-9 and angdist(s.phi[1], t.phi[1]) < 1e-9
 
 
 def test_unconverged_resultant_root_near_the_circle_raises(monkeypatch):
