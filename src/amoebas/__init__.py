@@ -31,7 +31,6 @@ from .laurent import (
     NewtonPolytope,
     evaluate,
     fiber_restrict,
-    log_gauss_numerator,
     newton_polytope,
 )
 from .parsing import format_poly, parse_poly
@@ -72,7 +71,7 @@ __all__ = [
     "NotLinear", "Overflow", "ParseError", "PolySyntaxError", "SingularMatrix",
     "UnknownVariable", "ZeroCoordinate",
     "LaurentPoly", "NewtonPolytope",
-    "evaluate", "fiber_restrict", "log_gauss_numerator",
+    "evaluate", "fiber_restrict",
     "newton_polytope",
     "format_poly", "parse_poly",
     "RootCluster", "UniPoly", "roots",

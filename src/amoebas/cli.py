@@ -135,6 +135,20 @@ def _floats(text, count=None):
         raise ValueError(f"expected {count} comma-separated numbers")
     return vals
 
+
+def _expects(form):
+    """Decorate an argparse type so that a malformed value is reported by its expected form."""
+    def wrap(convert):
+        def typed(text):
+            try:
+                return convert(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"expected {form}, got {text}") from None
+        return typed
+    return wrap
+
+
+@_expects("four numbers min1,min2,max1,max2")
 def _window_arg(text):
     x0, y0, x1, y1 = _floats(text, 4)
     if not (x1 > x0 and y1 > y0):
@@ -143,6 +157,7 @@ def _window_arg(text):
     return ((x0, y0), (x1, y1))
 
 
+@_expects("two integers nx,ny")
 def _res_arg(text):
     nx, ny = (int(p) for p in text.split(","))
     if nx < 2 or ny < 2:
@@ -153,6 +168,7 @@ def _res_arg(text):
     return (nx, ny)
 
 
+@_expects("a number")
 def _positive_float(text):
     v = float(text)
     # the sampling box spans 2 * v, which must stay a finite float
@@ -162,6 +178,7 @@ def _positive_float(text):
     return v
 
 
+@_expects("a whole number")
 def _positive_int(text):
     v = int(text)
     if v <= 0:

@@ -29,12 +29,11 @@ from .fiber import (
     _abs_at,
     _check_curve,
     _classify_points,
-    _dense,
     _eval_bi,
     _score,
     _staged,
 )
-from .laurent import log_gauss_numerator
+from .laurent import _collect_dense, _dense
 from .numeric import UniPoly, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
@@ -110,10 +109,11 @@ def _eliminate(curve, theta):
     """First stage of a slice: ((gb, hb, theta), the t1 polynomial).
 
     ``curve`` is (gb, G1, G2): the dense cleared f and its two logarithmic
-    Gauss numerators.  The t1 polynomial is the Sylvester resultant of g
-    and h in z2, or the z2-free h itself when the Gauss combination lost
-    its z2 dependence.  Every exponent of the combination is one of f's,
-    so a z2-free f always takes the second way.
+    Gauss numerators on the same grid.  The t1 polynomial is the Sylvester
+    resultant of g and h (the combination, trimmed to its support) in z2,
+    or the z2-free h itself when the Gauss combination lost its z2
+    dependence.  Every exponent of the combination is one of f's, so a
+    z2-free f always takes the second way.
     """
     gb, lg1, lg2 = curve
     st, ct = math.sin(theta), math.cos(theta)
@@ -123,12 +123,13 @@ def _eliminate(curve, theta):
         st = 0.0
     if abs(ct) < 1e-15:
         ct = 0.0
-    comb = st * lg2 - ct * lg1
-    if not comb.terms:
+    comb = _collect_dense(st * lg2, -(ct * lg1))
+    i, j = np.nonzero(comb)
+    if not i.size:
         raise DegenerateSlice(
             f"Gauss combination vanishes identically at theta={theta:.6f}"
         )
-    hb = _dense(comb)
+    hb = comb[i.min():i.max() + 1, j.min():j.max() + 1]
     if hb.shape[1] == 1:
         return (gb, hb, theta), UniPoly(hb[:, 0])
     try:
@@ -215,13 +216,15 @@ def _sweep(f, thetas):
 
     The stages are: Gauss combination and elimination per slice; the
     back-substitution slices per slice; polishing and deduplication per
-    candidate.  The dense f and its Gauss numerators are built once.
+    candidate.  The dense f is built once, and its Gauss numerators z_j df/dz_j
+    as copies on the same grid, each term weighted by its z_j-exponent.
     Returns an iterator with one entry per angle: the sorted ContourPoint
     list of ``contour_slice``, or the DegenerateSlice raised for that
     slice alone.
     """
     _check_curve(f)
-    curve = (_dense(f), log_gauss_numerator(f, 0), log_gauss_numerator(f, 1))
+    items = f.terms.items()
+    curve = (_dense(items, 2), *(_dense(((a, b * a[j]) for a, b in items), 2) for j in (0, 1)))
     return _staged(map(float, thetas), functools.partial(_eliminate, curve),
                    _backsub_slices, _points, (DegenerateSlice,))
 

@@ -110,15 +110,6 @@ class PointClass:
 # dense helpers on torus polynomials
 # --------------------------------------------------------------------------
 
-def _dense(g):
-    """Dense b[i, j] ~ t1^i t2^j of g, shifted so its lowest exponents are 0 (same torus zeros)."""
-    (lo1, hi1), (lo2, hi2) = g.degree_span(0), g.degree_span(1)
-    b = np.zeros((hi1 - lo1 + 1, hi2 - lo2 + 1), dtype=complex)
-    for (a1, a2), c in g.terms.items():
-        b[a1 - lo1, a2 - lo2] = c
-    return b
-
-
 def _eval_bi(b, z1, z2):
     """Value and both Gauss numerators z_j dp/dz_j of a dense bivariate poly.
 
@@ -265,8 +256,7 @@ def _eliminate(f, w):
     (DegenerateFiber) needs one within UNIT_ROOT_TOL of |t| = 1; pairs
     alone leave no torus point (None).
     """
-    g, _ = fiber_restrict(f, w)
-    gb = _dense(g)
+    gb, _ = fiber_restrict(f, w)
     if gb.shape[1] == 1:
         gb = gb.T
     mods = np.abs(gb)

@@ -3,11 +3,11 @@
 A Laurent polynomial f(z) = sum_alpha b_alpha z^alpha in n variables is
 stored as a dictionary from integer exponent vectors to complex
 coefficients.  The module keeps the algebra deliberately small: evaluate,
-build the logarithmic-Gauss numerators z_j df/dz_j, take the term moduli
-|b_alpha| e^{<alpha, w>} on the fiber torus over a log-point w, the only
-place where coefficients are compared (term dominance, the fiber
-restriction, the order), and take the Newton polytope.  Sums and products
-drop a coefficient only when the sum that formed it cancelled.
+take the term moduli |b_alpha| e^{<alpha, w>} on the fiber torus over a
+log-point w, the only place where coefficients are compared (term
+dominance, the fiber restriction, the order), lay terms out densely, and
+take the Newton polytope.  LaurentPoly has no arithmetic; the parser's sums
+(``_collect``) drop a coefficient only when the sum that formed it cancelled.
 
 >>> f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 >>> evaluate(f, (1.0, 1.0))
@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import Overflow, ZeroCoordinate
 
 # exponents are kept in int32 territory; degrees past this are rejected
 MAX_DEGREE = 10**6
 
 # a sum within this fraction of its larger summand is cancellation residue,
-# dropped by sums and products; fiber_restrict drops torus moduli below it
+# dropped by _collect and _collect_dense; fiber_restrict drops torus moduli below it
 PRUNE_REL = 1e-14
 
 
@@ -39,7 +41,7 @@ class LaurentPoly:
         Maps exponent tuples of length ``nvars`` (entries may be negative)
         to complex coefficients.  Exact zeros are dropped.
 
-    Instances are treated as immutable; all arithmetic returns new objects.
+    Instances are treated as immutable and carry no arithmetic.
     """
 
     __slots__ = ("nvars", "terms")
@@ -60,8 +62,6 @@ class LaurentPoly:
         self.nvars = nvars
         self.terms = clean
 
-    # -- basic protocol ----------------------------------------------------
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPoly)
@@ -76,34 +76,6 @@ class LaurentPoly:
         items = ", ".join(f"{a}: {b}" for a, b in sorted(self.terms.items()))
         return f"LaurentPoly({self.nvars}, {{{items}}})"
 
-    # -- ring operations (used mainly by the expression parser) -------------
-
-    def __add__(self, other):
-        return _collect(self.nvars, dict(self.terms), self._coerce(other).terms.items())
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return LaurentPoly(self.nvars, {a: -b for a, b in self.terms.items()})
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return _collect(self.nvars, {}, ((tuple(x + y for x, y in zip(a1, a2)), b1 * b2)
-                                         for a1, b1 in self.terms.items()
-                                         for a2, b2 in other.terms.items()))
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return other
-        return LaurentPoly(self.nvars, {(0,) * self.nvars: complex(other)})
-
-    # -- convenience -------------------------------------------------------
-
     def degree_span(self, j):
         """(min, max) exponent of variable j over the support; (0, 0) if absent."""
         if not self.terms:
@@ -112,8 +84,8 @@ class LaurentPoly:
         return (min(exps), max(exps))
 
 
-def _collect(nvars, out, pairs):
-    """LaurentPoly of the terms ``out`` plus each (exponent, coefficient) of ``pairs``.
+def _collect(out, pairs):
+    """Add each (exponent, coefficient) of ``pairs`` into the term dict ``out``; returns it.
 
     A sum whose modulus is at most PRUNE_REL times its larger summand's
     (an exact zero included) is dropped; nothing else is compared.
@@ -125,7 +97,34 @@ def _collect(nvars, out, pairs):
             out.pop(a, None)
         else:
             out[a] = c
-    return LaurentPoly(nvars, out)
+    return out
+
+
+def _collect_dense(a, b):
+    """a + b on arrays, as ``_collect`` adds the terms b into a dict of the terms a.
+
+    0j + a takes a signed zero to +0, as a first sum into a dict does;
+    np.hypot is Python's complex abs bit for bit.
+    """
+    a = 0j + a
+    c = a + b
+    c[np.hypot(c.real, c.imag) <= PRUNE_REL * np.maximum(np.hypot(a.real, a.imag),
+                                                         np.hypot(b.real, b.imag))] = 0
+    return c
+
+
+def _dense(pairs, nvars):
+    """Dense array b[i, j, ..] ~ t1^i t2^j .. of (exponent, coefficient) pairs.
+
+    The exponents are shifted so that the lowest of each variable is 0,
+    which keeps the torus zeros; no pairs give a single zero.
+    """
+    pairs = list(pairs) or [((0,) * nvars, 0j)]
+    exps = np.array([a for a, _ in pairs])
+    lo = exps.min(axis=0)
+    b = np.zeros(tuple(exps.max(axis=0) - lo + 1), dtype=complex)
+    b[tuple((exps - lo).T)] = [c for _, c in pairs]
+    return b
 
 
 class NewtonPolytope:
@@ -196,28 +195,12 @@ def evaluate(f, z):
     return s
 
 
-def log_gauss_numerator(f, j):
-    """z_j * df/dz_j, the j-th numerator of the logarithmic Gauss map.
-
-    The support stays inside the support of f (each term b alpha z^alpha
-    maps to b*alpha_j z^alpha), which is why this form is preferred over
-    the bare derivative for Laurent input.
-    """
-    if not 0 <= j < f.nvars:
-        raise ValueError(f"variable index {j} out of range")
-    out = {}
-    for alpha, b in f.terms.items():
-        if alpha[j] != 0:
-            out[alpha] = b * alpha[j]
-    return LaurentPoly(f.nvars, out)
-
-
 def fiber_restrict(f, w):
     """Restrict f to the fiber torus over the log-point w.
 
     Substituting z = e^{w + i phi} turns f into the torus function
     sum_alpha b_alpha e^{<alpha, w>} e^{i<alpha, phi>}; the returned
-    polynomial carries those coefficients in the torus variables t = e^{i phi}.
+    array (``_dense``) carries those coefficients in the torus variables t = e^{i phi}.
     To dodge overflow the coefficients are normalized so the largest modulus
     is exactly 1, and the discarded factor is reported in log space.
 
@@ -228,10 +211,11 @@ def fiber_restrict(f, w):
 
     Returns
     -------
-    (LaurentPoly, float)
-        The normalized restriction g and log_scale, with
-        b_alpha e^{<alpha, w>} = g_alpha * e^{log_scale}.
-        Coefficients with modulus below 1e-14 after normalization are dropped.
+    (ndarray, float)
+        The dense normalized restriction b and log_scale, with
+        b_alpha e^{<alpha, w>} = b[alpha - lo] * e^{log_scale}, lo the
+        lowest kept exponents.  Coefficients with modulus below 1e-14 after
+        normalization are dropped.
 
     Raises
     ------
@@ -242,9 +226,9 @@ def fiber_restrict(f, w):
     if len(w) != f.nvars:
         raise ValueError("w has wrong arity")
     mods, cap = _torus_moduli(f.terms.items(), w)
-    out = {alpha: (b / abs(b)) * mag
-           for (alpha, b), mag in zip(f.terms.items(), mods) if mag >= PRUNE_REL}
-    return LaurentPoly(f.nvars, out), cap
+    kept = ((alpha, (b / abs(b)) * mag)
+            for (alpha, b), mag in zip(f.terms.items(), mods) if mag >= PRUNE_REL)
+    return _dense(kept, f.nvars), cap
 
 
 def _torus_moduli(items, w):

@@ -110,20 +110,20 @@ class BasisReport:
 # exact membership for linear polynomials
 # --------------------------------------------------------------------------
 
+def _row(g):
+    """Coefficients [c0, b_1, .., b_n] of g = c0 + sum b_j z_j, 0j where absent, or NotLinear."""
+    row = [0j] * (g.nvars + 1)
+    for alpha, c in g.terms.items():
+        if any(a < 0 for a in alpha) or sum(alpha) > 1:
+            raise NotLinear("expected a constant plus degree-one terms")
+        row[1 + alpha.index(1) if sum(alpha) else 0] = c
+    return row
+
+
 def _linear_parts(f):
     """Coefficient vector b of f = c0 (1 + sum b_j z_j), or NotLinear."""
-    n = f.nvars
-    const = None
-    b = [0j] * n
-    for alpha, c in f.terms.items():
-        s = sum(alpha)
-        if any(a < 0 for a in alpha) or s > 1:
-            raise NotLinear("expected a constant plus degree-one terms")
-        if s == 0:
-            const = c
-        else:
-            b[alpha.index(1)] = c
-    if const is None or const == 0:
+    const, *b = _row(f)
+    if const == 0:
         raise NotLinear("the constant term must be present and nonzero")
     return [bj / const for bj in b]
 
@@ -174,15 +174,9 @@ def linear_classify(f, w):
 # --------------------------------------------------------------------------
 
 def _term_moduli(g, w):
-    """List of (index, |coef| e^{w_j}) with index 0 for the constant."""
-    vals = [0.0] * (g.nvars + 1)
-    for alpha, c in g.terms.items():
-        if sum(alpha) == 0:
-            vals[0] = abs(c)
-        else:
-            j = alpha.index(1)
-            vals[j + 1] = abs(c) * math.exp(w[j])
-    return vals
+    """Term moduli [|c0|, |b_1| e^{w_1}, ..] of a linear g, 0.0 for an absent term."""
+    c0, *b = _row(g)
+    return [abs(c0)] + [abs(c) * math.exp(wj) for c, wj in zip(b, w)]
 
 
 def amoeba_basis(sys):
@@ -420,13 +414,7 @@ def verify_basis(basis, samples=10000, box=2.0):
             )
         witnesses[i] = w
 
-    rows = np.zeros((len(basis.polys), n + 1), dtype=complex)
-    for j, g in enumerate(basis.polys):
-        for alpha, c in g.terms.items():
-            if sum(alpha) == 0:
-                rows[j, 0] = c
-            else:
-                rows[j, 1 + alpha.index(1)] = c
+    rows = np.array([_row(g) for g in basis.polys])
     sing = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sing > 1e-9 * sing[0]))
     if rank != n:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .errors import EmptyInput, PolySyntaxError, UnknownVariable
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _collect
 
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _INT = re.compile(r"\d+$")
@@ -85,11 +85,14 @@ def tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; polynomials are term dicts {exponent: complex} until parse_poly."""
+
     def __init__(self, tokens, nvars, text):
         self.toks = tokens
         self.pos = 0
         self.nvars = nvars
         self.text = text
+        self.unit = (0,) * nvars
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -113,8 +116,9 @@ class _Parser:
             return PolySyntaxError(f"{what}, got end of input", span=(end, end))
         return PolySyntaxError(f"{what}, got {t.lexeme!r}", span=t.span)
 
-    def one(self):
-        return LaurentPoly(self.nvars, {(0,) * self.nvars: 1.0})
+    def product(self, p, q):
+        return _collect({}, ((tuple(x + y for x, y in zip(a1, a2)), b1 * b2)
+                             for a1, b1 in p.items() for a2, b2 in q.items()))
 
     def expr(self):
         sign = 1.0
@@ -122,14 +126,14 @@ class _Parser:
         if t is not None and t.kind in ("plus", "minus"):
             self.take()
             sign = -1.0 if t.kind == "minus" else 1.0
-        acc = sign * self.term()
+        acc = self.product(self.term(), {self.unit: complex(sign)})
         while True:
             t = self.peek()
             if t is None or t.kind not in ("plus", "minus"):
                 return acc
             self.take()
             nxt = self.term()
-            acc = acc + nxt if t.kind == "plus" else acc - nxt
+            _collect(acc, nxt.items() if t.kind == "plus" else ((a, -b) for a, b in nxt.items()))
 
     def term(self):
         acc = self.factor()
@@ -138,7 +142,7 @@ class _Parser:
             if t is None or t.kind != "star":
                 return acc
             self.take()
-            acc = acc * self.factor()
+            acc = self.product(acc, self.factor())
 
     def factor(self):
         t = self.peek()
@@ -150,11 +154,11 @@ class _Parser:
             nxt = self.peek()
             if nxt is not None and nxt.kind == "imag":
                 self.take()
-                return complex(0.0, value) * self.one()
-            return value * self.one()
+                return {self.unit: complex(0.0, value)}
+            return {self.unit: complex(value)}
         if t.kind == "imag":
             self.take()
-            return 1j * self.one()
+            return {self.unit: 1j}
         if t.kind == "var":
             self.take()
             idx = int(t.lexeme[1])
@@ -169,7 +173,7 @@ class _Parser:
                 expo = self.integer()
             alpha = [0] * self.nvars
             alpha[idx - 1] = expo
-            return LaurentPoly(self.nvars, {tuple(alpha): 1.0})
+            return {tuple(alpha): 1 + 0j}
         if t.kind == "lparen":
             self.take()
             inner = self.expr()
@@ -199,15 +203,17 @@ def parse_poly(text, nvars):
         For blank input.
     PolySyntaxError, UnknownVariable
         With the offending span.
+    Overflow
+        If an exponent of the expanded result lies outside +-MAX_DEGREE.
     """
     toks = tokenize(text)
     if not toks:
         raise EmptyInput("empty expression", span=(0, 0))
     p = _Parser(toks, nvars, text)
-    poly = p.expr()
+    terms = p.expr()
     if p.peek() is not None:
         raise p.fail("unexpected trailing input")
-    return poly
+    return LaurentPoly(nvars, terms)
 
 
 def _fmt_num(x):

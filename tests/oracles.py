@@ -14,8 +14,10 @@ def torus_min_modulus(terms, w, grid=64, polish=40, starts=60):
     """Minimum of |f| over the fiber torus, normalized by the coefficient sum.
 
     Grid sweep of the phase torus followed by damped Gauss-Newton descent
-    in the phases from the best grid starts.  Returns min|f| / sum|terms|,
-    both evaluated at the scaled coefficients c_alpha e^(alpha.w).
+    in the phases from the ``starts`` smallest grid values and from every
+    other local minimum of the periodic grid, so a shallow valley far from
+    the deepest ones is searched too.  Returns min|f| / sum|terms|, both
+    evaluated at the scaled coefficients c_alpha e^(alpha.w).
     """
     al = np.array([a for a, _ in terms], dtype=float)
     cf = np.array([c for _, c in terms], dtype=complex)
@@ -28,8 +30,11 @@ def torus_min_modulus(terms, w, grid=64, polish=40, starts=60):
         1j * (np.multiply.outer(p1g, al[:, 0]) + np.multiply.outer(p2g, al[:, 1]))
     )
     coarse = np.abs(ev @ scaled)
+    local_min = np.all([coarse <= np.roll(coarse, (d1, d2), axis=(0, 1))
+                        for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)], axis=0)
+    ranked = np.argsort(coarse, axis=None)
     best = np.inf
-    for flat in np.argsort(coarse, axis=None)[:starts]:
+    for flat in [*ranked[:starts], *(k for k in ranked[starts:] if local_min.flat[k])]:
         p1, p2 = p1g.flat[flat], p2g.flat[flat]
         for _ in range(polish):
             e = scaled * np.exp(1j * (al[:, 0] * p1 + al[:, 1] * p2))

@@ -41,8 +41,7 @@ from amoebas import (
     verify_basis,
 )
 from amoebas.cli import main as cli_main
-from amoebas.fiber import _dense
-from amoebas.laurent import LaurentPoly
+from amoebas.laurent import LaurentPoly, _dense
 from oracles import torus_min_modulus
 
 CUBIC1 = "z1^3 + z2^3 + z1*z2 + 1"
@@ -57,7 +56,7 @@ def quadnomial(c):
 
 
 def cleared_degree(f):
-    i, j = np.nonzero(_dense(f))
+    i, j = np.nonzero(_dense(f.terms.items(), 2))
     return int((i + j).max())
 
 

@@ -209,6 +209,19 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "--res: resolution must have at most 1000000 cells, got 30000,30000"),
         (("betti", "--poly", "z1+z2+1", "--window", "1,1,0,0", "--output", "OUT.ppm"), 2,
          "--window: window must be min1,min2,max1,max2 with max > min, got 1,1,0,0"),
+        (("betti", "--poly", "z1+z2+1", "--res", "abc", "--output", "OUT.ppm"), 2,
+         "--res: expected two integers nx,ny, got abc"),
+        (("betti", "--poly", "z1+z2+1", "--res", "5", "--output", "OUT.ppm"), 2,
+         "--res: expected two integers nx,ny, got 5"),
+        (("betti", "--poly", "z1+z2+1", "--window", "1,2", "--output", "OUT.ppm"), 2,
+         "--window: expected four numbers min1,min2,max1,max2, got 1,2"),
+        (("contour", "--poly", CUBIC, "--slices", "x"), 2,
+         "--slices: expected a whole number, got x"),
+        (("basis", "--linear", "1,2;3,4", "--samples", "x"), 2,
+         "--samples: expected a whole number, got x"),
+        (("basis", "--linear", "1,2;3,4", "--box", "x"), 2, "--box: expected a number, got x"),
+        (("classify", "--poly", "z1^1000001", "--point", "0,0"), 3,
+         "exponent (1000001, 0) outside +-1000000"),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
@@ -216,7 +229,9 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "classify-overflow", "contour-monomial", "contour-zero-poly",
          "boundary-monomial", "boundary-zero-poly", "betti-monomial", "betti-zero-poly",
          "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap",
-         "res-above-cap", "empty-window"],
+         "res-above-cap", "empty-window", "malformed-res", "one-number-res",
+         "short-window", "malformed-slices", "malformed-samples", "malformed-box",
+         "exponent-ceiling"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
                                                   expected, says):

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from amoebas import (
+    AmoebaError,
     DegenerateSlice,
+    LaurentPoly,
     classify,
     classify_contour,
     contour_slice,
     parse_poly,
     trace_contour,
 )
+import amoebas.contour
 import amoebas.fiber
 from amoebas.contour import SkippedSlices
 
@@ -31,6 +34,35 @@ def raw_gauss(f, z):
     g1 = sum(a[0] * c * z[0] ** a[0] * z[1] ** a[1] for a, c in f.terms.items())
     g2 = sum(a[1] * c * z[0] ** a[0] * z[1] ** a[1] for a, c in f.terms.items())
     return g1, g2
+
+
+def test_gauss_slices_weigh_each_term_by_its_exponent(monkeypatch):
+    # z_j df/dz_j multiplies each coefficient by its z_j-exponent, negative
+    # ones included; a slice keeps only the support of its combination
+    f = LaurentPoly(2, {(2, 1): 1.0, (-1, 0): -3.0, (0, 5): 7.0})
+    slices = []
+    real = amoebas.contour._eliminate
+
+    def recorded(curve, theta):
+        out = real(curve, theta)
+        slices.append(out[0][1])
+        return out
+
+    monkeypatch.setattr(amoebas.contour, "_eliminate", recorded)
+    for theta in (0.0, math.pi / 2):
+        try:
+            contour_slice(f, theta)
+        except AmoebaError:
+            pass
+    # theta = 0: -z1 df/dz1 = -2 z1^2 z2 - 3 z1^-1
+    minus_g1 = np.zeros((4, 2), dtype=complex)
+    minus_g1[3, 1], minus_g1[0, 0] = -2.0, -3.0
+    # theta = pi/2: z2 df/dz2 = z1^2 z2 + 35 z2^5
+    g2 = np.zeros((3, 5), dtype=complex)
+    g2[2, 0], g2[0, 4] = 1.0, 35.0
+    assert len(slices) == 2
+    assert np.array_equal(slices[0], minus_g1)
+    assert np.array_equal(slices[1], g2)
 
 
 def test_linear_slice_hand_solution():

@@ -23,7 +23,6 @@ from amoebas import (
     evaluate,
     fiber_restrict,
     fiber_solutions,
-    log_gauss_numerator,
     lopsided,
     order,
     parse_poly,
@@ -31,10 +30,11 @@ from amoebas import (
     sylvester_resultant,
     trace_contour,
 )
-from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _dense, _eval_bi, _score, _solve_fiber
+from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _eval_bi, _score, _solve_fiber
+from amoebas.laurent import _dense
 from amoebas.numeric import RootCluster
 
-from oracles import brute_member, eval_at_phases
+from oracles import brute_member, eval_at_phases, torus_min_modulus
 
 TAU = 2.0 * math.pi
 
@@ -167,8 +167,10 @@ def test_dense_evaluator_matches_sparse_evaluation():
             math.exp(rng.uniform(-1, 1)) * complex(math.cos(p), math.sin(p))
             for p in (rng.uniform(0, TAU), rng.uniform(0, TAU))
         )
-        got = _eval_bi(_dense(g), *z)
-        sparse = (g, log_gauss_numerator(g, 0), log_gauss_numerator(g, 1))
+        got = _eval_bi(_dense(g.terms.items(), 2), *z)
+        # z_j dg/dz_j term by term: each coefficient times its z_j-exponent
+        sparse = (g,) + tuple(LaurentPoly(2, {a: b * a[j] for a, b in g.terms.items()})
+                              for j in (0, 1))
         for value, p in zip(got, sparse):
             assert type(value) is complex
             # relative to the sum of the term moduli, which cancellation
@@ -216,7 +218,7 @@ def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
             sols, _ = _solve_fiber(f, w)
         except DegenerateFiber:
             continue
-        if calls == [None] and len(fiber_restrict(f, w)[0].terms) > 1:
+        if calls == [None] and np.count_nonzero(fiber_restrict(f, w)[0]) > 1:
             shortcuts += 1
             assert not sols
             assert lopsided(f, w) is not None, (dict(f.terms), w)
@@ -252,7 +254,7 @@ def test_univariate_restriction_needs_no_root_finder(monkeypatch):
     # touch the verdict
     f = parse_poly("z1^3 - 2*z1 + 5", 2)
     monkeypatch.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
-    restriction = _dense(fiber_restrict(f, (0.5, 0.0))[0])[:, 0]
+    restriction = fiber_restrict(f, (0.5, 0.0))[0][:, 0]
     assert restriction.size == 4 and not all(cl.converged for cl in roots(restriction))
     assert classify(f, (0.5, 0.0)).tag == "Complement"
 
@@ -262,7 +264,7 @@ def test_a_root_pair_off_the_circle_is_no_full_circle():
     # share the pair 2, 1/2, so their resultant vanishes, but no root lies
     # on |t| = 1 and the term sum is not lopsided (2 x 2.75 < 6.25)
     f = parse_poly("z1^3 - z1^2 - 2.75*z1 + 1.5", 2)
-    gb = _dense(fiber_restrict(f, (0.0, 0.0))[0]).T
+    gb = fiber_restrict(f, (0.0, 0.0))[0].T
     with pytest.raises(IdenticallyZero):
         sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
     assert lopsided(f, (0.0, 0.0)) is None
@@ -512,7 +514,7 @@ GENERIC_Z1 = 0.8 * complex(math.cos(1.0), math.sin(1.0))
     ids=["real-point-of-cubic", "generic-point-is-not", "singular-point-scores-zero"],
 )
 def test_criticality_score(text, z, critical, check):
-    _, g1, g2 = _eval_bi(_dense(parse_poly(text, 2)), *z)
+    _, g1, g2 = _eval_bi(_dense(parse_poly(text, 2).terms.items(), 2), *z)
     score = _score(g1, g2)
     assert (score < CRITICAL_TOL) == critical
     assert check(score)
@@ -641,6 +643,16 @@ def test_membership_matches_brute_torus_sweep():
             w,
         )
         checked += 1
+
+
+def test_oracle_finds_the_fibers_of_a_line_times_a_coordinate_line():
+    # over w1 = 0.675 the factor z1 - 2 stays off the torus but comes within
+    # 0.036 of zero around phi1 = 0, where the smallest grid values of |f|
+    # crowd; the two points of the line 1 + z1 + z2 lie far from there
+    f = parse_poly("(z1 - 2)*(1 + z1 + z2)", 2)
+    for w in ((0.675, 0.45), (0.675, 0.6)):
+        assert torus_min_modulus(list(f.terms.items()), w) < 1e-12
+        assert len(fiber_solutions(f, w)) == 2
 
 
 def test_reported_solutions_really_vanish():

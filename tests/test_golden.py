@@ -2,8 +2,10 @@
 
 Each case runs ``amoeba`` in-process, the contour examples at the README's
 360 slices and the rasters at reduced size, and compares its exit code, its
-stdout and every file it writes with the recording under ``tests/golden/``.  To re-record after an
-intended change of output, run
+stdout and every file it writes with the recording under ``tests/golden/``.
+The ``classify`` answers at sixty points of the recorded contour are
+recorded too, phases and scores at 12 digits: they pin the last bits of the
+fiber solve.  To re-record after an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +15,7 @@ and review ``git diff tests/golden``.
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -72,6 +75,30 @@ def run_case(name, workdir):
     return code, out.getvalue().encode("utf-8"), written
 
 
+# every 18th row of the contour recording: sixty points on the boundary of
+# the two-to-one amoeba, 22 of them with a phase that prints just below 2pi
+POINT_ROWS = range(0, 1076, 18)
+
+
+def contour_point_answers():
+    """stdout of ``classify`` at POINT_ROWS of the recorded contour, one JSON line each."""
+    rows = (GOLDEN / "contour.stdout").read_text().splitlines()[1:]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for k in POINT_ROWS:
+            w1, w2 = rows[k].split(",")[:2]
+            assert main(["classify", "--poly", HARNACK, f"--point={w1},{w2}"]) == 0
+    return out.getvalue()
+
+
+def test_contour_point_answers_match_recording():
+    want = (GOLDEN / "contour_points.stdout").read_text().splitlines()
+    assert contour_point_answers().splitlines() == want
+    near_2pi = [line for line in want if any(
+        p > 2.0 * math.pi - 1e-4 for s in json.loads(line)["solutions"] for p in s["phi"])]
+    assert len(near_2pi) == 22
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_readme_example_matches_recording(tmp_path, name):
     code, stdout, written = run_case(name, tmp_path)
@@ -96,6 +123,8 @@ def record():
         print(f"{name}: exit {code}, {len(stdout)} stdout bytes, files {sorted(written)}",
               file=sys.stderr)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    (GOLDEN / "contour_points.stdout").write_text(contour_point_answers())
+    print(f"contour_points: {len(POINT_ROWS)} classify answers", file=sys.stderr)
 
 
 if __name__ == "__main__":

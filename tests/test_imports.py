@@ -1,9 +1,11 @@
-"""Every import and every module-level constant in the package source is used.
+"""Every import, module-level constant and private function in the package source is used.
 
 An imported name counts as used when the module refers to it, or lists it
 in ``__all__``.  An import line marked ``# noqa`` is exempt: it is kept
 for callers that look the name up in that module.  An ALL-CAPS constant
-counts as used when some module of the package reads it.
+counts as used when some module of the package reads it, and a
+module-level ``_function`` when some module of the package refers to it
+outside the function's own definition.
 """
 
 import ast
@@ -90,3 +92,49 @@ def test_a_dead_constant_is_reported(tmp_path):
     found = constant_references([mod])
     assert {name: refs for name, (_, _, refs) in found.items()} == {
         "USED": 1, "DEAD": 0, "_PRIVATE_DEAD": 0}
+
+
+def private_function_references(paths):
+    """Module-level _functions of paths -> (file, line, count of references).
+
+    A reference inside the function's own definition (recursion) does not count.
+    """
+    defined, refs = {}, Counter()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined[own] = (path.name, top.lineno)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    refs[name] += 1
+    return {name: (*where, refs[name]) for name, where in defined.items()}
+
+
+def test_every_private_function_is_referenced():
+    # a helper nothing calls is code that only looks as if it mattered
+    found = private_function_references(sorted(SRC.glob("*.py")))
+    assert "_collect" in found and "_row" in found
+    assert [(name, where) for name, (*where, refs) in sorted(found.items()) if not refs] == []
+
+
+def test_an_orphaned_private_function_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import math\n"
+                   "def _used():\n    return math.pi\n"
+                   "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+                   "def _decorator(fn):\n    return fn\n"
+                   "@_decorator\ndef public():\n    return _used()\n"
+                   "class K:\n    def _method(self):\n        return 1\n")
+    found = private_function_references([mod])
+    assert {name: refs for name, (_, _, refs) in found.items()} == {
+        "_used": 1, "_recursive": 0, "_decorator": 1}

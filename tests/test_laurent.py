@@ -1,4 +1,4 @@
-"""Laurent polynomial container, calculus helpers, and torus restriction."""
+"""Laurent polynomial container, parser arithmetic, dense layout, and torus restriction."""
 
 import math
 import random
@@ -12,11 +12,11 @@ from amoebas import (
     ZeroCoordinate,
     evaluate,
     fiber_restrict,
-    log_gauss_numerator,
     newton_polytope,
     parse_poly,
 )
-from amoebas.fiber import _dense
+from amoebas.fiber import _eval_bi
+from amoebas.laurent import _dense
 
 
 def test_terms_are_normalized_and_hashable_exponents():
@@ -57,31 +57,34 @@ def test_sums_keep_a_tiny_coefficient():
     # terms of different exponents are never compared with one another
     f = parse_poly("1 + z1 + 1e-15*z2", 2)
     assert f.terms[(0, 1)] == 1e-15
-    assert (LaurentPoly(2, {(1, 0): 2.0}) * f).terms[(1, 1)] == 2e-15
+    assert parse_poly("2*z1*(1 + z1 + 1e-15*z2)", 2).terms[(1, 1)] == 2e-15
 
 
 def test_sums_drop_cancellation_residue():
     # 0.1 + 0.2 - 0.3 leaves 5.6e-17, rounding residue of a cancellation
-    f = parse_poly("1 + 0.1*z1 + 0.2*z1 - 0.3*z1 + z2", 2)
-    assert set(f.terms) == {(0, 0), (0, 1)}
-    assert (f - f).terms == {}
+    text = "1 + 0.1*z1 + 0.2*z1 - 0.3*z1 + z2"
+    assert set(parse_poly(text, 2).terms) == {(0, 0), (0, 1)}
+    assert parse_poly(f"({text}) - ({text})", 2).terms == {}
     g = parse_poly("(z1 + 1)*(z1 - 1)", 1)
     assert set(g.terms) == {(0,), (2,)}
 
 
-def test_log_gauss_numerator_keeps_exponent():
-    # z1 df/dz1 multiplies each coefficient by its z1-exponent
-    f = LaurentPoly(2, {(2, 1): 1.0, (-1, 0): -3.0, (0, 5): 7.0})
-    g = log_gauss_numerator(f, 0)
-    assert dict(g.terms) == {(2, 1): 2 + 0j, (-1, 0): 3 + 0j}
+def test_products_and_sums_are_bit_exact():
+    # the parser forms each coefficient as prev + term in source order; a
+    # signed zero left by a product is taken to +0 by its first sum
+    f = parse_poly("-(1.5i)*z1 + 0.1*z2 + 0.2*z2 + 0.3*z2", 2)
+    assert f.terms[(1, 0)] == complex(0.0, -1.5)
+    assert math.copysign(1.0, f.terms[(1, 0)].real) == 1.0
+    assert f.terms[(0, 1)] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
 
 def test_fiber_restrict_normalizes_largest_modulus_to_one():
     f = LaurentPoly(2, {(1, 0): 1.0, (0, 0): 0.5})
-    g, log_scale = fiber_restrict(f, (math.log(2.0), 0.0))
+    b, log_scale = fiber_restrict(f, (math.log(2.0), 0.0))
     assert log_scale == pytest.approx(math.log(2.0))
-    assert g.terms[(1, 0)] == pytest.approx(1.0)
-    assert g.terms[(0, 0)] == pytest.approx(0.25)
+    assert b.shape == (2, 1)
+    assert b[1, 0] == pytest.approx(1.0)
+    assert b[0, 0] == pytest.approx(0.25)
 
 
 def test_fiber_restrict_survives_huge_w():
@@ -89,10 +92,11 @@ def test_fiber_restrict_survives_huge_w():
     # space keeps the dominant coefficient at 1 and prunes terms that are
     # numerically invisible next to it
     f = LaurentPoly(2, {(3, 0): 1.0, (0, 0): 1.0})
-    g, log_scale = fiber_restrict(f, (1000.0, 0.0))
+    b, log_scale = fiber_restrict(f, (1000.0, 0.0))
     assert log_scale == pytest.approx(3000.0)
-    assert abs(g.terms[(3, 0)]) == pytest.approx(1.0)
-    assert (0, 0) not in g.terms  # relative size e^-3000, pruned
+    # the constant, of relative size e^-3000, is pruned: z1^3 alone is left
+    assert b.shape == (1, 1)
+    assert abs(b[0, 0]) == pytest.approx(1.0)
 
 
 def test_fiber_restrict_overflow_guard():
@@ -104,18 +108,20 @@ def test_fiber_restrict_overflow_guard():
 
 
 # Monomial clearing (multiplying by z^beta so every exponent starts at 0)
-# happens as fiber._dense fills its coefficient array.
+# happens as laurent._dense fills its coefficient array.
 
 def test_monomial_clear_shifts_to_origin():
-    b = _dense(LaurentPoly(2, {(-1, 2): 1.0, (3, -2): 2.0}))
+    b = _dense({(-1, 2): 1 + 0j, (3, -2): 2 + 0j}.items(), 2)
     expected = np.zeros((5, 5), dtype=complex)
     expected[0, 4], expected[4, 0] = 1.0, 2.0
     assert np.array_equal(b, expected)
 
 
 def test_monomial_clear_identity_when_already_cleared():
-    b = _dense(LaurentPoly(2, {(0, 0): 1.0, (2, 1): -1.0}))
+    b = _dense({(0, 0): 1 + 0j, (2, 1): -1 + 0j}.items(), 2)
     assert np.array_equal(b, [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(_dense({(2,): 3j, (4,): 1j}.items(), 1), [3j, 0, 1j])
+    assert np.array_equal(_dense([], 2), [[0j]])
 
 
 def test_newton_polytope_quadrilateral():
@@ -150,11 +156,14 @@ def test_restriction_agrees_with_direct_evaluation():
             terms[a] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         f = LaurentPoly(2, terms)
         w = (rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        g, log_scale = fiber_restrict(f, w)
+        b, log_scale = fiber_restrict(f, w)
+        # nothing is pruned here, so b[0, 0] stands for t^lo
+        lo = [f.degree_span(j)[0] for j in (0, 1)]
+        assert b.shape == tuple(f.degree_span(j)[1] - lo[j] + 1 for j in (0, 1))
         phi = (rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         t = (complex(math.cos(phi[0]), math.sin(phi[0])),
              complex(math.cos(phi[1]), math.sin(phi[1])))
         z = (math.exp(w[0]) * t[0], math.exp(w[1]) * t[1])
         lhs = evaluate(f, z)
-        rhs = math.exp(log_scale) * evaluate(g, t)
+        rhs = math.exp(log_scale) * t[0] ** lo[0] * t[1] ** lo[1] * _eval_bi(b, *t)[0]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

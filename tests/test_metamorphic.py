@@ -48,12 +48,14 @@ def _torus_scale(f):
 
 # name -> (f -> transformed f, w -> transformed point, order -> transformed order)
 TRANSFORMS = {
-    "monomial": (lambda f: LaurentPoly(2, {BETA: 1.0}) * f, lambda w: w,
-                 lambda o: (o[0] + BETA[0], o[1] + BETA[1])),
+    "monomial": (lambda f: LaurentPoly(2, {(a1 + BETA[0], a2 + BETA[1]): b
+                                           for (a1, a2), b in f.terms.items()}),
+                 lambda w: w, lambda o: (o[0] + BETA[0], o[1] + BETA[1])),
     "conjugate": (lambda f: LaurentPoly(2, {a: b.conjugate() for a, b in f.terms.items()}),
                   lambda w: w, lambda o: o),
     "swap": (_swap, lambda w: (w[1], w[0]), lambda o: (o[1], o[0])),
-    "scale": (lambda f: (-0.7 + 2.4j) * f, lambda w: w, lambda o: o),
+    "scale": (lambda f: LaurentPoly(2, {a: b * (-0.7 + 2.4j) for a, b in f.terms.items()}),
+              lambda w: w, lambda o: o),
     "torus-scale": (_torus_scale, lambda w: (w[0] - LAMBDA[0], w[1] - LAMBDA[1]),
                     lambda o: o),
 }

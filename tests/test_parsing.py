@@ -5,7 +5,7 @@ import random
 import pytest
 
 from amoebas import LaurentPoly, ParseError, format_poly, parse_poly
-from amoebas.errors import EmptyInput, PolySyntaxError, UnknownVariable
+from amoebas.errors import EmptyInput, Overflow, PolySyntaxError, UnknownVariable
 from amoebas.parsing import tokenize
 
 
@@ -33,6 +33,15 @@ def test_complex_literal_forms():
     assert parse_poly("3i*z1", 1).terms[(1,)] == 3j
     assert parse_poly("i*z1", 1).terms[(1,)] == 1j
     assert parse_poly("(1e-2+0.5i)", 1).terms[(0,)] == pytest.approx(0.01 + 0.5j)
+
+
+def test_exponent_ceiling_applies_to_the_expanded_result():
+    with pytest.raises(Overflow):
+        parse_poly("z1^1000001", 2)
+    with pytest.raises(Overflow):
+        parse_poly("1 + z2^-1000001", 2)
+    # an intermediate product beyond the ceiling may come back into range
+    assert parse_poly("z1^1000001*z1^-1", 2).terms == {(10**6, 0): 1 + 0j}
 
 
 def test_like_terms_collect_and_cancel():
