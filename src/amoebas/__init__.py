@@ -53,7 +53,6 @@ from .contour import ContourPoint, classify_contour, contour_slice, trace_contou
 from .linear import (
     AmoebaBasis,
     BasisReport,
-    LinearSystem,
     amoeba_basis,
     linear_classify,
     verify_basis,
@@ -79,7 +78,7 @@ __all__ = [
     "FiberSolution", "PointClass", "classify", "fiber_solutions",
     "lopsided", "order",
     "ContourPoint", "classify_contour", "contour_slice", "trace_contour",
-    "AmoebaBasis", "BasisReport", "LinearSystem", "amoeba_basis",
+    "AmoebaBasis", "BasisReport", "amoeba_basis",
     "linear_classify", "verify_basis",
     "Raster", "amoeba_grids", "cell_walls",
 ]

@@ -47,7 +47,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fiber import classify, fiber_solutions, lopsided, order
-from .linear import LinearSystem, amoeba_basis, verify_basis
+from .linear import amoeba_basis, verify_basis
 from .parsing import format_poly, parse_poly
 from .raster import amoeba_grids
 
@@ -414,8 +414,7 @@ def _cmd_raster(args):
 
 
 def _cmd_basis(args):
-    sys_ = LinearSystem(_parse_matrix(args.linear))
-    basis = amoeba_basis(sys_)
+    basis = amoeba_basis(_parse_matrix(args.linear))
     for j, g in enumerate(basis.polys):
         print(f"g{j} = {format_poly(g)}")
     v = basis.witness

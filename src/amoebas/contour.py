@@ -31,6 +31,7 @@ from .fiber import (
     _classify_points,
     _eval_bi,
     _score,
+    _slice,
     _staged,
 )
 from .laurent import _collect_dense, _dense
@@ -95,16 +96,6 @@ def _polish_pair(gb, hb, z1, z2):
     return z1, z2
 
 
-def _vertical_guard(gb, t1, slice_c):
-    """Detect a slice where g(t1, .) vanished identically (a line in V)."""
-    bound = (abs(t1) ** np.arange(gb.shape[0])) @ np.abs(gb)
-    cap = float(np.max(bound))
-    if float(np.max(np.abs(slice_c))) < 1e-12 * cap:
-        raise DegenerateSlice(
-            "the variety contains a coordinate line through a slice root"
-        )
-
-
 def _eliminate(curve, theta):
     """First stage of a slice: ((gb, hb, theta), the t1 polynomial).
 
@@ -141,15 +132,17 @@ def _eliminate(curve, theta):
 
 
 def _backsub_slices(state, found):
-    """The (t1, z2-slice of g) pair of each t1 root off the origin."""
+    """The (t1, z2-slice of g) pair of each t1 root off the origin; a vanished slice raises."""
     gb = state[0]
+    coeff_sum = float(np.abs(gb).sum())
     out = []
     for cl in found:
         t1 = cl.center
         if abs(t1) < TORUS_CUTOFF:
             continue
-        slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
-        _vertical_guard(gb, t1, slice_c)
+        slice_c = _slice(gb, coeff_sum, t1)
+        if slice_c is None:
+            raise DegenerateSlice("the variety contains a coordinate line through a slice root")
         out.append((t1, UniPoly(slice_c)))
     return state, out
 

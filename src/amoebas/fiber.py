@@ -275,16 +275,29 @@ def _eliminate(f, w):
     return (gb, coeff_sum), res
 
 
+def _slice(gb, coeff_sum, t1):
+    """g(t1, .) in t2, or None when it vanished: g has the t2-free factor t1 - c.
+
+    Every slice coefficient is at most coeff_sum (the sum of g's coefficient
+    moduli) times max(1, |t1|)^deg1; vanished is below 1e-13 of that bound.
+    """
+    pows = t1 ** np.arange(gb.shape[0])
+    slice_c = pows @ gb
+    # |t1^deg1| stands for |t1|^deg1, which a Python float power could overflow
+    if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum * max(1.0, abs(pows[-1])):
+        return None
+    return slice_c
+
+
 def _backsub_slices(state, found):
     """Merge the resultant clusters and back-substitute those near |t| = 1.
 
     Returns ((gb, coeff_sum, clusters), slices): the merged (center,
     multiplicity) pairs, and a ((cluster id, t1), slice in t2) pair per
-    cluster within UNIT_BAND of the unit circle.  A slice below 1e-13 x
-    coeff_sum has vanished: g has the t2-free factor t1 - c.  With c
-    within UNIT_ROOT_TOL of |t| = 1 that is a full circle on the torus
-    (DegenerateFiber); farther off, the line t1 = c misses the torus and
-    the cluster has no candidate.
+    cluster within UNIT_BAND of the unit circle.  A vanished slice
+    (``_slice``) at c within UNIT_ROOT_TOL of |t| = 1 is a full circle on
+    the torus (DegenerateFiber); farther off, the line t1 = c misses the
+    torus and the cluster has no candidate.
     """
     gb, coeff_sum = state
     clusters = _merge_near_unit(found)
@@ -292,9 +305,8 @@ def _backsub_slices(state, found):
     for ci, (t1, _) in enumerate(clusters):
         if not (abs(abs(t1) - 1.0) <= UNIT_BAND):  # also drops non-finite centers
             continue
-        # back-substitute: univariate slice in t2
-        slice_c = (t1 ** np.arange(gb.shape[0])) @ gb
-        if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum:
+        slice_c = _slice(gb, coeff_sum, t1)
+        if slice_c is None:
             if abs(abs(t1) - 1.0) < UNIT_ROOT_TOL:
                 raise DegenerateFiber("restriction has a t2-free factor with a unit root: "
                                       "the fiber meets the variety in full circles")

@@ -88,12 +88,19 @@ def _collect(out, pairs):
     """Add each (exponent, coefficient) of ``pairs`` into the term dict ``out``; returns it.
 
     A sum whose modulus is at most PRUNE_REL times its larger summand's
-    (an exact zero included) is dropped; nothing else is compared.
+    (an exact zero included) is dropped; nothing else is compared.  A sum
+    whose modulus is not a finite float raises Overflow.
     """
     for a, term in pairs:
         prev = out.get(a, 0j)
         c = prev + term
-        if abs(c) <= PRUNE_REL * max(abs(prev), abs(term)):
+        try:
+            mag = abs(c)  # inf or nan when c is not finite
+        except OverflowError:  # a finite c of too large a modulus
+            mag = math.inf
+        if not math.isfinite(mag):
+            raise Overflow(f"the coefficient of exponent {a} overflows")
+        if mag <= PRUNE_REL * max(abs(prev), abs(term)):
             out.pop(a, None)
         else:
             out[a] = c

@@ -24,53 +24,6 @@ from .numeric import solve_linear
 _EQUALITY_TOL = 1e-9
 
 
-class LinearSystem:
-    """A full-rank system f_j = 1 + sum_k a[j, k] z_k, j = 1 .. n.
-
-    The coefficient matrix is validated eagerly: construction fails with
-    SingularMatrix when a pivot of the LU factorization drops below the
-    singularity threshold, because then the common zero is not a single
-    point and the basis construction below has no witness to work with.
-    """
-
-    __slots__ = ("a", "_v")
-
-    def __init__(self, a):
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square coefficient matrix")
-        if a.shape[0] < 2:
-            raise ValueError("the basis construction needs at least two variables")
-        self.a = a
-        self._v = tuple(
-            complex(z) for z in solve_linear(a, -np.ones(a.shape[0], dtype=complex))
-        )
-
-    @property
-    def n(self):
-        return self.a.shape[0]
-
-    def solution(self):
-        """The unique v with 1 + sum_k a[j, k] v_k = 0 for every j."""
-        return self._v
-
-    def polys(self):
-        """The system rows as LaurentPoly objects."""
-        out = []
-        n = self.n
-        for j in range(n):
-            terms = {(0,) * n: 1.0 + 0j}
-            for k in range(n):
-                if self.a[j, k] != 0:
-                    alpha = tuple(1 if i == k else 0 for i in range(n))
-                    terms[alpha] = complex(self.a[j, k])
-            out.append(LaurentPoly(n, terms))
-        return out
-
-    def __repr__(self):
-        return f"LinearSystem(n={self.n})"
-
-
 class AmoebaBasis:
     """n+1 linear polynomials whose amoebas meet exactly in Log|witness|."""
 
@@ -173,16 +126,31 @@ def linear_classify(f, w):
 # the basis construction
 # --------------------------------------------------------------------------
 
+def _poly(row):
+    """The linear polynomial c0 + sum b_j z_j of [c0, b_1, .., b_n]; the inverse of _row."""
+    n = len(row) - 1
+    return LaurentPoly(n, {tuple(int(i == k - 1) for i in range(n)): c
+                           for k, c in enumerate(row)})
+
+
 def _term_moduli(g, w):
     """Term moduli [|c0|, |b_1| e^{w_1}, ..] of a linear g, 0.0 for an absent term."""
     c0, *b = _row(g)
     return [abs(c0)] + [abs(c) * math.exp(wj) for c, wj in zip(b, w)]
 
 
-def amoeba_basis(sys):
-    """Basis of n+1 linear polynomials from a full-rank linear system.
+def _check_vanishes(g, j, v, w_star):
+    """Axiom 1 for member j: |g(v)| within 1e-9 of its term-modulus sum at w_star = Log|v|."""
+    if abs(evaluate(g, v)) > 1e-9 * math.fsum(_term_moduli(g, w_star)):
+        raise AxiomFailure(f"axiom 1: member {j} does not vanish at the witness",
+                           axiom=1, witness=v)
 
-    Solves the system for its zero v, then emits
+
+def amoeba_basis(a):
+    """Basis of n+1 linear polynomials from a full-rank n x n coefficient matrix.
+
+    ``a`` is the system f_j = 1 + sum_k a[j, k] z_k, j = 1 .. n.  Solves it
+    for its zero v, then emits
 
         g_0 = 1 + (1/||v||_1) sum_k (-e^{-i arg v_k}) z_k
         g_j = 1 + sum_{k != j} e^{-i arg v_k} z_k
@@ -195,16 +163,22 @@ def amoeba_basis(sys):
 
     Raises
     ------
+    ValueError
+        Unless ``a`` is a square matrix with n >= 2.
+    SingularMatrix
+        If an LU pivot drops below threshold: no single common zero.
     ZeroCoordinate
         If some v_k vanishes; the phase factors are undefined then.
     AxiomFailure
         If a residual or equality check fails (indicates conditioning
         trouble, not a wrong construction).
     """
-    if not isinstance(sys, LinearSystem):
-        sys = LinearSystem(sys)
-    v = sys.solution()
-    n = sys.n
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square coefficient matrix")
+    if a.shape[0] < 2:
+        raise ValueError("the basis construction needs at least two variables")
+    v = tuple(complex(z) for z in solve_linear(a, -np.ones(a.shape[0], dtype=complex)))
     vmax = max(abs(vk) for vk in v)
     if min(abs(vk) for vk in v) <= 1e-12 * vmax:
         raise ZeroCoordinate(
@@ -221,39 +195,22 @@ def amoeba_basis(sys):
         im = 0.0 if abs(ph.imag) <= 1e-14 else ph.imag
         phase.append(complex(re, im))
 
-    def unit(k):
-        return tuple(1 if i == k else 0 for i in range(n))
+    rows = [[1.0 + 0j] + [-ph / norm1 for ph in phase]]
+    for j, vj in enumerate(v):
+        rows.append([1.0 + 0j] + phase)
+        rows[-1][1 + j] = -(1.0 + norm1 - abs(vj)) / vj
+    polys = [_poly(row) for row in rows]
 
-    polys = []
-    terms = {(0,) * n: 1.0 + 0j}
-    for k in range(n):
-        terms[unit(k)] = -phase[k] / norm1
-    polys.append(LaurentPoly(n, terms))
-    for j in range(n):
-        terms = {(0,) * n: 1.0 + 0j}
-        for k in range(n):
-            if k == j:
-                terms[unit(k)] = -(1.0 + norm1 - abs(v[j])) / v[j]
-            else:
-                terms[unit(k)] = phase[k]
-        polys.append(LaurentPoly(n, terms))
-
-    w_star = [math.log(abs(vk)) for vk in v]
+    w_star = tuple(math.log(abs(vk)) for vk in v)
     for j, g in enumerate(polys):
-        scale = math.fsum(_term_moduli(g, w_star))
-        if abs(evaluate(g, v)) > 1e-9 * scale:
-            raise AxiomFailure(
-                f"basis polynomial {j} does not vanish at the witness",
-                axiom=1,
-                witness=v,
-            )
+        _check_vanishes(g, j, v, w_star)
         vals = _term_moduli(g, w_star)
         resid = abs(vals[j] - (math.fsum(vals) - vals[j]))
         if resid > 1e-9 * max(1.0, vals[j]):
             raise AxiomFailure(
                 f"basis polynomial {j} misses its boundary equality at Log|v|",
                 axiom=1,
-                witness=tuple(w_star),
+                witness=w_star,
             )
     return AmoebaBasis(polys, v)
 
@@ -310,11 +267,7 @@ def _walk_witness(basis, i):
     for k, g in enumerate(basis.polys):
         vals = _term_moduli(g, w_star)
         # gradient of gap_k wrt w: +r_j on the dominant slot k, -r_j elsewhere
-        grad = []
-        for j in range(1, n + 1):
-            sign = 1.0 if j == k else -1.0
-            grad.append(sign * vals[j])
-        rows.append(grad)
+        rows.append([vals[j] if j == k else -vals[j] for j in range(1, n + 1)])
         target.append(1.0 if k == i else -1.0)
     sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(target), rcond=None)
     norm = float(np.linalg.norm(sol))
@@ -366,16 +319,9 @@ def verify_basis(basis, samples=10000, box=2.0):
         raise ValueError("need samples >= 0, and a positive box with 2 * box finite")
     n = len(basis.witness)
     w_star = basis.log_point
-    v = basis.witness
 
     for j, g in enumerate(basis.polys):
-        scale = math.fsum(_term_moduli(g, list(w_star)))
-        if abs(evaluate(g, v)) > 1e-9 * scale:
-            raise AxiomFailure(
-                f"axiom 1: member {j} does not vanish at the witness",
-                axiom=1,
-                witness=v,
-            )
+        _check_vanishes(g, j, basis.witness, w_star)
         if linear_classify(g, w_star)[0] == "Complement":
             raise AxiomFailure(
                 f"axiom 1: Log|v| escapes member {j}",

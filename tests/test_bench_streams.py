@@ -1,0 +1,42 @@
+"""The benchmark's own answer check, on its warm query streams.
+
+``bench/run.py`` checks every query result against the recorded
+reference (tags and integers exactly, other numbers within 1e-6) and
+every verdict against the lopsided certificate.  Both workloads' streams
+run here for seeds 0-7, so a change that moves an answer, a fiber phase
+included, fails before a benchmark run does.  Only the in-process query
+streams run: the benchmark's CLI commands need the work folder that its
+``main`` makes.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """bench/run.py as a module, with the reference outputs it checks against."""
+    sys.path.insert(0, str(BENCH))  # run.py imports its sibling modules
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(BENCH))
+    return run, run.load_reference()
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("workload", ["sweep", "point"])
+def test_query_stream_matches_the_reference(bench, workload, seed):
+    run, ref = bench
+    r = run.Run(workload, seed, ref)
+    r.stream()
+    assert r.tally.attempted == len(r.queries) > 0
+    assert r.tally.failed == 0, r.tally.notes
+    assert r.tally.conflicts == 0

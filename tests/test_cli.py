@@ -222,6 +222,10 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
         (("basis", "--linear", "1,2;3,4", "--box", "x"), 2, "--box: expected a number, got x"),
         (("classify", "--poly", "z1^1000001", "--point", "0,0"), 3,
          "exponent (1000001, 0) outside +-1000000"),
+        (("classify", "--poly", "1e999*z1 + 1", "--point", "0,0"), 3,
+         "the coefficient of exponent (1, 0) overflows"),
+        (("classify", "--poly", "1e308*z1 + 1e308*z1 + 1", "--point", "0,0"), 3,
+         "the coefficient of exponent (1, 0) overflows"),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
@@ -231,7 +235,7 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap",
          "res-above-cap", "empty-window", "malformed-res", "one-number-res",
          "short-window", "malformed-slices", "malformed-samples", "malformed-box",
-         "exponent-ceiling"],
+         "exponent-ceiling", "infinite-literal", "overflowing-sum"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
                                                   expected, says):

@@ -349,6 +349,22 @@ def test_vanished_slice_off_the_torus_is_skipped(w):
         assert (s.multiplicity, s.critical) == (mult, critical)
 
 
+@pytest.mark.parametrize("text, t1, vanished", [
+    (LINE_TIMES_LINE, 1.0, True),  # the factor root: g(1, .) is zero
+    (LINE_TIMES_LINE, -0.5, False),  # the line's root: g(-0.5, .) = -1.5 (0.5 + t2)
+    # the bound weighs the slice by |t1|^deg1: a factor root of modulus 1e4
+    # known to 1e-11 leaves 1e-7 here, below 1e-13 * 20002 * 1e4
+    ("(z1 - 1e4)*(1 + z2)", 1e4 + 1e-7, True),
+    ("(z1 - 1e4)*(1 + z2)", -1.0, False),
+])
+def test_slice_vanishes_at_a_factor_root_only(text, t1, vanished):
+    gb = _dense(parse_poly(text, 2).terms.items(), 2)
+    got = amoebas.fiber._slice(gb, float(np.abs(gb).sum()), t1)
+    assert (got is None) == vanished
+    if not vanished:
+        np.testing.assert_array_equal(got, (t1 ** np.arange(gb.shape[0])) @ gb)
+
+
 def test_vanished_slice_on_the_unit_circle_is_a_full_circle():
     # an exact resultant cluster at t1 = 1 over w1 = 0: g vanishes on the
     # line t1 = 1, which lies on the torus

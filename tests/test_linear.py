@@ -9,7 +9,6 @@ import pytest
 from amoebas import (
     AmoebaBasis,
     AxiomFailure,
-    LinearSystem,
     NotLinear,
     SingularMatrix,
     ZeroCoordinate,
@@ -78,19 +77,54 @@ def test_classify_rejects_nonlinear_input():
             linear_classify(parse_poly(text, 2), (0.0, 0.0))
 
 
-def test_linear_system_solution_and_polys():
-    sys = LinearSystem([[0.5, 0.5], [2.0, -1.0]])
-    v = sys.solution()
+def test_basis_witness_solves_the_system():
+    v = amoeba_basis(REFERENCE).witness
     assert v[0] == pytest.approx(-1.0)
     assert v[1] == pytest.approx(-1.0)
-    p0, p1 = sys.polys()
-    assert p0.terms == {(0, 0): 1.0 + 0j, (1, 0): 0.5 + 0j, (0, 1): 0.5 + 0j}
-    assert p1.terms == {(0, 0): 1.0 + 0j, (1, 0): 2.0 + 0j, (0, 1): -1.0 + 0j}
 
 
-def test_linear_system_rejects_singular_matrices():
+def test_basis_rejects_singular_matrices():
     with pytest.raises(SingularMatrix):
-        LinearSystem([[1.0, 2.0], [2.0, 4.0]])
+        amoeba_basis([[1.0, 2.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("matrix", [[[1.0, 2.0, 3.0]], [[1.0]], [1.0, 2.0]],
+                         ids=["not-square", "1x1", "vector"])
+def test_basis_rejects_a_matrix_it_cannot_use(matrix):
+    with pytest.raises(ValueError):
+        amoeba_basis(matrix)
+
+
+def test_basis_member_that_does_not_vanish_fails_axiom_one(monkeypatch):
+    basis = amoeba_basis(REFERENCE)
+    # 1e-6 is far above 1e-9 of member 0's term-modulus sum (2) at Log|v|
+    monkeypatch.setattr(linear, "evaluate", lambda g, z: 1e-6 + 0j)
+    with pytest.raises(AxiomFailure) as built:
+        amoeba_basis(REFERENCE)
+    assert built.value.axiom == 1
+    assert built.value.witness == basis.witness
+    assert str(built.value) == "axiom 1: member 0 does not vanish at the witness"
+    with pytest.raises(AxiomFailure) as verified:
+        verify_basis(basis, samples=10)
+    # one check, one message, for the construction and the verification
+    assert (verified.value.axiom, verified.value.witness, str(verified.value)) == (
+        built.value.axiom, built.value.witness, str(built.value))
+
+
+def test_basis_member_off_its_boundary_equality_fails_axiom_one(monkeypatch):
+    real = linear._term_moduli
+
+    def heavier_constant(g, w):
+        vals = real(g, w)
+        return [2.0 * vals[0]] + vals[1:]
+
+    monkeypatch.setattr(linear, "_term_moduli", heavier_constant)
+    with pytest.raises(AxiomFailure) as err:
+        amoeba_basis(REFERENCE)
+    assert err.value.axiom == 1
+    # member 0's dominant slot is the constant, so it fails first, at Log|v|
+    assert err.value.witness == (0.0, 0.0)
+    assert str(err.value) == "basis polynomial 0 misses its boundary equality at Log|v|"
 
 
 def test_basis_exact_triple_for_the_reference_system():

@@ -1,6 +1,7 @@
 """Expression grammar: tokens, parse errors with spans, format round-trips."""
 
 import random
+import re
 
 import pytest
 
@@ -42,6 +43,18 @@ def test_exponent_ceiling_applies_to_the_expanded_result():
         parse_poly("1 + z2^-1000001", 2)
     # an intermediate product beyond the ceiling may come back into range
     assert parse_poly("z1^1000001*z1^-1", 2).terms == {(10**6, 0): 1 + 0j}
+
+
+@pytest.mark.parametrize("text, alpha", [
+    ("1e999*z1 + 1", (1, 0)),  # the literal overflows
+    ("1e200*1e200*z1 + 1", (0, 0)),  # the product of two constants overflows
+    ("1e999 - 1e999 + z1", (0, 0)),  # inf - inf would be nan
+    ("1e308*z1 + 1e308*z1 + 1", (1, 0)),  # the sum of like terms overflows
+    ("1.5e308*z1 + 1.5e308*i*z1 + 1", (1, 0)),  # finite parts, but the modulus overflows
+])
+def test_non_finite_coefficient_is_rejected_not_dropped(text, alpha):
+    with pytest.raises(Overflow, match=f"exponent {re.escape(str(alpha))} overflows"):
+        parse_poly(text, 2)
 
 
 def test_like_terms_collect_and_cancel():
