@@ -110,18 +110,27 @@ class PointClass:
 # dense helpers on torus polynomials
 # --------------------------------------------------------------------------
 
+@functools.cache
+def _exponents(n):
+    """The exponents 0 .. n-1 of one variable of a dense polynomial."""
+    e = np.arange(n)
+    e.flags.writeable = False
+    return e
+
+
 def _eval_bi(b, z1, z2):
     """Value and both Gauss numerators z_j dp/dz_j of a dense bivariate poly.
 
     ``b[i, j]`` is the coefficient of z1^i z2^j; the three values come back
     as Python complex numbers.
     """
-    p1 = z1 ** np.arange(b.shape[0])
-    p2 = z2 ** np.arange(b.shape[1])
+    e1, e2 = _exponents(b.shape[0]), _exponents(b.shape[1])
+    p1 = z1 ** e1
+    p2 = z2 ** e2
     rows = b @ p2
     val = p1 @ rows
-    gam1 = (np.arange(b.shape[0]) * p1) @ rows
-    gam2 = (p1 @ b) @ (np.arange(b.shape[1]) * p2)
+    gam1 = (e1 * p1) @ rows
+    gam2 = (p1 @ b) @ (e2 * p2)
     return complex(val), complex(gam1), complex(gam2)
 
 

@@ -12,9 +12,17 @@ sweep, not once per polynomial.  Every per-root step is the same numpy
 array operation in the same order whatever the batch, so a polynomial's
 clusters come out bit for bit the same alone or in any batch; ``roots``
 is the batch of one.
+
+A sweep evaluates p, p' and the round-off bound of |p| in one stacked
+Horner pass, and its safeguards write only when their masks hold a true
+entry.  It stays in numpy arrays even for one polynomial: numpy's array
+complex *, / and abs differ from Python's scalar operators in the last
+bit on some inputs, but not with the array's length, shape or layout.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,8 +36,9 @@ TRIM_REL = 1e-13
 # Aberth-Ehrlich sweeps before the remaining roots count as unconverged
 ABERTH_SWEEPS = 500
 
-# at most this many root pairs (rows x degree^2) per Aberth batch, which
-# bounds the difference matrix at 1 MB; splitting a batch changes no bit
+# at most this many root pairs (rows x degree^2) per Aberth batch, which bounds
+# the difference matrix at 1 MB and the Horner levels (_levels) at 3 MB;
+# splitting a batch changes no bit
 _BATCH_PAIRS = 1 << 16
 
 
@@ -113,11 +122,11 @@ def _initial_guesses(c):
     """
     b, d = c.shape[0], c.shape[1] - 1
     with np.errstate(divide="ignore"):
-        u = np.where(np.abs(c) > 0, np.log(np.abs(c)), -np.inf)
-    # per root: its row, the hull edge (i1, i2) it belongs to, its offset in
-    # the row where that edge starts, and its index along the edge
-    row, lo, hi, start, along = [], [], [], [], []
-    for r, ur in enumerate(u.tolist()):
+        u = np.log(np.abs(c)).tolist()
+    # per root: the log radius of its hull edge (i1, i2), its index along
+    # the edge, and the edge's length and start i1
+    expo, along, length, start = [], [], [], []
+    for ur in u:
         hull = []
         for i in range(d + 1):
             if ur[i] == -np.inf:
@@ -130,20 +139,54 @@ def _initial_guesses(c):
                 else:
                     break
             hull.append(i)
-        pos = 0
         for i1, i2 in zip(hull, hull[1:]):
             m = i2 - i1
-            row += [r] * m
-            lo += [i1] * m
-            hi += [i2] * m
-            start += [pos] * m
+            expo += [(ur[i1] - ur[i2]) / m] * m
             along += range(m)
-            pos += m
-    row, lo, hi = np.array(row), np.array(lo), np.array(hi)
-    m = hi - lo
-    radius = np.exp((u[row, lo] - u[row, hi]) / m)
-    ang = 2.0 * np.pi * (np.array(along) + 0.5) / m + 0.7 + 0.4 * np.array(start)
-    return (radius * np.exp(1j * ang)).reshape(b, d)
+            length += [m] * m
+            start += [i1] * m
+    expo, along, m, start = np.array((expo, along, length, start))
+    ang = 2.0 * np.pi * (along + 0.5) / m + 0.7 + 0.4 * start
+    return (np.exp(expo) * np.exp(1j * ang)).reshape(b, d)
+
+
+def _levels(c):
+    """Horner levels, shape (d+1, 3, B, d), of the rows p, p' and Bini's
+    (4k+1) |c_k| round-off bound for |p|, spread over each row's d roots."""
+    b, d = c.shape[0], c.shape[1] - 1
+    dc = c[:, 1:] * np.arange(1, d + 1)
+    lev = np.empty((d + 1, 3, b, d), dtype=complex)
+    lev[:, 0] = c.T[:, :, None]
+    lev[:d, 1] = dc.T[:, :, None]
+    lev[d, 1] = dc[:, -1:]  # the top of p' (see _stacked_horner)
+    lev[:, 2] = (np.abs(c) * (4.0 * np.arange(d + 1) + 1.0)).T[:, :, None]
+    return lev
+
+
+def _stacked_horner(lev, z):
+    """p, p' and the round-off bound at z, z and |z| in one pass, (3, B, d).
+
+    p' joins one level late (the first step resets it to its top
+    coefficient), so every row sees exactly ``_horner``'s operations.
+    """
+    x = np.empty(lev.shape[1:], dtype=complex)
+    x[:2] = z
+    x[2] = np.abs(z)
+    r = lev[-1] * x
+    r += lev[-2]
+    r[1] = lev[-1, 1]
+    for level in lev[-3::-1]:
+        r *= x
+        r += level
+    return r
+
+
+@functools.cache
+def _self_excluded(d):
+    """(d, d), +inf on the diagonal and +0 elsewhere, read-only."""
+    a = np.diag(np.full(d, np.inf)).astype(complex)
+    a.flags.writeable = False
+    return a
 
 
 def _aberth(c):
@@ -163,63 +206,71 @@ def _aberth(c):
     together).
     """
     b, d = c.shape[0], c.shape[1] - 1
-    dc = c[:, 1:] * np.arange(1, d + 1)
-    # running round-off bound for |p(z)|, Bini's (4k+1) profile
-    noise = (np.abs(c) * (4.0 * np.arange(d + 1) + 1.0)).astype(complex)
-    # coefficient index first, each coefficient spread over its row's d
-    # roots: full[k] has the shape of the roots, as _horner wants
-    full = [np.ascontiguousarray(np.broadcast_to(a.T[:, :, None], (a.shape[1], b, d)))
-            for a in (c, dc, noise)]
+    lev = _levels(c)
     z = _initial_guesses(c)
     converged = np.zeros((b, d), dtype=bool)
-    # the rows still iterating: their indices, roots, live roots, coefficients
-    rows, zr, live, coef = np.arange(b), z, ~converged, full
-    diagonal = (slice(None), np.arange(d), np.arange(d))
+    # the rows still iterating: their indices, roots, live roots, levels
+    rows, zr, live, coef = np.arange(b), z, ~converged, lev
+    excl = _self_excluded(d)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(ABERTH_SWEEPS):
-            mod = np.abs(zr)
-            p = _horner(coef[0], zr)
-            dp = _horner(coef[1], zr)
-            floor = _horner(coef[2], mod).real * EPS
+            p, dp, floor = _stacked_horner(coef, zr)
+            floor = floor.real * EPS
             diff = zr[:, :, None] - zr[:, None, :]
-            diff[diagonal] = np.inf  # exclude self
-            diff[diff == 0] = 1e-300
-            s = (1.0 / diff).sum(axis=2)
+            diff += excl
+            tie = diff == 0
+            if np.count_nonzero(tie):
+                diff[tie] = 1e-300
+            s = np.add.reduce(1.0 / diff, axis=2)
             den = dp - p * s
-            den[~np.isfinite(den) | (den == 0.0)] = 1.0
+            bad = ~np.isfinite(den) | (den == 0.0)
+            if np.count_nonzero(bad):
+                den[bad] = 1.0
             w = p / den
             # an iterate far enough out to overflow the evaluation carries no
             # information; pull it halfway back toward the origin instead
             finite = np.isfinite(p)
-            sick = ~np.isfinite(w) | ~finite
-            w[sick] = 0.5 * zr[sick]
+            sick = ~(np.isfinite(w) & finite)
+            if np.count_nonzero(sick):
+                w[sick] = 0.5 * zr[sick]
             # cap wild steps
-            cap = 1.0 + mod
-            big = np.abs(w) > cap
-            w[big] *= (cap[big] / np.abs(w[big]))
+            cap = 1.0 + np.abs(zr)
+            step = np.abs(w)
+            big = step > cap
+            if np.count_nonzero(big):
+                w[big] *= (cap[big] / step[big])
+                step = np.abs(w)
             done = (
-                ((np.abs(w) < 1e-12 * cap) | (np.abs(p) <= floor))
+                ((step < 1e-12 * cap) | (np.abs(p) <= floor))
                 & finite & np.isfinite(floor)
             )
             # converged roots keep their value; only live ones move
             zr = np.where(live, zr - w, zr)
             live = live & ~done
-            moving = live.any(axis=1)
-            if not moving.all():
+            moving = np.logical_or.reduce(live, axis=1)
+            kept = np.count_nonzero(moving)
+            if kept == 0:
+                break
+            if kept < moving.size:
                 z[rows[~moving]] = zr[~moving]
                 converged[rows[~moving]] = True
                 rows, zr, live = rows[moving], zr[moving], live[moving]
-                if rows.size == 0:
-                    break
-                coef = [a[:, moving] for a in coef]
+                coef = coef[:, :, moving]
     z[rows] = zr
     converged[rows] = ~live
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pz = _horner(full[0], z)
-        dpz = _horner(full[1], z)
+        pz, dpz, _ = _stacked_horner(lev, z)
         incl = d * np.abs(pz) / np.maximum(np.abs(dpz), 1e-300)
     incl[~np.isfinite(incl)] = np.inf
     return z, converged, np.minimum(incl, 0.05 * (1.0 + np.abs(z)))
+
+
+@functools.cache
+def _pairs(n):
+    """Index arrays (i, j) of the pairs i < j among n roots, read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _cluster_points(z, flags, incl):
@@ -233,32 +284,38 @@ def _cluster_points(z, flags, incl):
     of RootCluster per row.
     """
     b, n = z.shape
+    first, second = _pairs(n)
     # np.hypot is Python's abs() of a complex, bit for bit; np.abs is not
     mod = np.hypot(z.real, z.imag)
-    gap = z[:, :, None] - z[:, None, :]
-    r = np.maximum(1e-8, 1e-6 * np.maximum(mod[:, :, None], mod[:, None, :]))
-    r = np.maximum(r, 2.0 * (incl[:, :, None] + incl[:, None, :]))
-    link = (np.hypot(gap.real, gap.imag) <= r) | np.eye(n, dtype=bool)
-    # every root takes the smallest index it is linked to, until stable:
-    # then each component is labelled by its first member
-    label = np.broadcast_to(np.arange(n), (b, n))
-    while True:
-        nxt = np.where(link, label[:, None, :], n).min(axis=2)
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
+    gap = z[:, first] - z[:, second]
+    r = np.maximum(1e-8, 1e-6 * np.maximum(mod[:, first], mod[:, second]))
+    r = np.maximum(r, 2.0 * (incl[:, first] + incl[:, second]))
+    row, pair = np.nonzero(np.hypot(gap.real, gap.imag) <= r)
+    # union-find over the linked pairs i < j, root k of a row numbered
+    # row * n + k: a head points to a smaller head, so one pass in index
+    # order leaves every root pointing at its component's first member
+    head = list(range(b * n))
+    for i, j in zip((row * n + first[pair]).tolist(), (row * n + second[pair]).tolist()):
+        while head[i] != i:
+            i = head[i]
+        while head[j] != j:
+            j = head[j]
+        head[max(i, j)] = min(i, j)
+    for k in range(b * n):
+        head[k] = head[head[k]]
     # the mean of one member is that member plus zero (which clears a -0.0)
     single = (z + 0.0).tolist()
+    flag = flags.tolist()
     out = []
-    for row, labels in enumerate(label.tolist()):
+    for row in range(b):
         groups = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(i)
+        for i in range(n):
+            groups.setdefault(head[row * n + i], []).append(i)
         clusters = []
         for members in groups.values():
             if len(members) == 1:
                 i = members[0]
-                clusters.append(RootCluster(single[row][i], 1, 0.0, flags[row, i]))
+                clusters.append(RootCluster(single[row][i], 1, 0.0, flag[row][i]))
                 continue
             pts = z[row, members]
             center = pts.mean()
@@ -400,6 +457,17 @@ def solve_linear(a, b):
 # Sylvester resultant by evaluation-interpolation
 # --------------------------------------------------------------------------
 
+@functools.cache
+def _sylvester_index(m, l):
+    """Where each Sylvester matrix entry sits in (a_0 .. a_m, b_0 .. b_l, 0)."""
+    i, j = np.indices((m + l, m + l))
+    k = np.where(i < l, m + i - j, i - j)  # a_k in the first l rows, b_k below
+    k = np.where(i < l, np.where((k >= 0) & (k <= m), k, -1),
+                 np.where((k >= 0) & (k <= l), m + 1 + k, -1))
+    k.flags.writeable = False
+    return k
+
+
 def _sylvester_batch(avals, bvals):
     """Batched Sylvester determinants from per-node coefficient rows.
 
@@ -408,21 +476,22 @@ def _sylvester_batch(avals, bvals):
     (dets, hadamard) with the per-node determinant and Hadamard bound.
     """
     kk, m1 = avals.shape
-    _, l1 = bvals.shape
-    m, l = m1 - 1, l1 - 1
-    size = m + l
-    s = np.zeros((kk, size, size), dtype=complex)
-    arev = avals[:, ::-1]
-    brev = bvals[:, ::-1]
-    for r in range(l):
-        s[:, r, r:r + m1] = arev
-    for r in range(m):
-        s[:, l + r, r:r + l1] = brev
+    m, l = m1 - 1, bvals.shape[1] - 1
+    s = np.concatenate((avals, bvals, np.zeros((kk, 1))), axis=1)[:, _sylvester_index(m, l)]
     dets = np.linalg.det(s)
     norm_a = np.linalg.norm(avals, axis=1)
     norm_b = np.linalg.norm(bvals, axis=1)
     hadamard = norm_a**l * norm_b**m
     return dets, hadamard
+
+
+@functools.cache
+def _vandermonde(kk, rho, n):
+    """Powers 0 .. n-1 of the kk nodes rho e^{2 pi i k/kk}, shape (kk, n)."""
+    nodes = rho * np.exp(2j * np.pi * np.arange(kk) / kk)
+    vand = nodes[:, None] ** np.arange(n)
+    vand.flags.writeable = False
+    return vand
 
 
 def sylvester_resultant(g, h):
@@ -459,28 +528,25 @@ def sylvester_resultant(g, h):
     d1h, d2h = hb.shape[0] - 1, hb.shape[1] - 1
     dd = d1g * d2h + d1h * d2g
     kk = dd + 1
+    # self-check: the direct determinant at a probe point, against the
+    # interpolated value there
     probe = 0.83 + 0.31j
+    pa = (probe ** np.arange(gb.shape[0])) @ gb
+    pb = (probe ** np.arange(hb.shape[0])) @ hb
+    (ref,), (habs,) = _sylvester_batch(pa[None, :], pb[None, :])
 
     errs = []
     for rho in (1.0, 0.7, 1.3):
-        nodes = rho * np.exp(2j * np.pi * np.arange(kk) / kk)
-        vand = nodes[:, None] ** np.arange(gb.shape[0])
-        av = vand @ gb
-        vand_h = nodes[:, None] ** np.arange(hb.shape[0]) if hb.shape[0] != gb.shape[0] else vand
-        bv = vand_h @ hb
+        av = _vandermonde(kk, rho, gb.shape[0]) @ gb
+        bv = _vandermonde(kk, rho, hb.shape[0]) @ hb
         dets, had = _sylvester_batch(av, bv)
         if np.all(np.abs(dets) <= 1e-12 * np.maximum(had, 1e-300)):
             raise IdenticallyZero("resultant vanishes at every node")
         coeffs = np.fft.fft(dets) / kk
         if rho != 1.0:
             coeffs = coeffs / rho ** np.arange(kk)
-        # self-check: direct determinant at a probe point vs interpolated value
-        pa = (probe ** np.arange(gb.shape[0])) @ gb
-        pb = (probe ** np.arange(hb.shape[0])) @ hb
-        dref, habs = _sylvester_batch(pa[None, :], pb[None, :])
-        ref = dref[0]
         val = _horner(coeffs, probe)
-        errs.append(abs(val - ref) / max(abs(ref), habs[0] * 1e-8, 1e-300))
+        errs.append(abs(val - ref) / max(abs(ref), habs * 1e-8, 1e-300))
         if errs[-1] < 1e-6:
             break
     else:

@@ -23,7 +23,7 @@ from amoebas import (
     sylvester_resultant,
 )
 import amoebas.numeric as numeric
-from amoebas.numeric import _cluster_points, _roots_batch
+from amoebas.numeric import _aberth, _cluster_points, _horner, _roots_batch
 
 
 def match_root_sets(found, expected, tol):
@@ -248,6 +248,181 @@ def test_cluster_link_at_exactly_the_inclusion_radius():
         got = _cluster_points(z[None], flags[None], incl[None])[0]
         assert cluster_bits(got) == cluster_bits(union_find_clusters(z, flags, incl))
         assert [cl.multiplicity for cl in got] == [2]
+
+
+def reference_guesses(c):
+    """Reference: the starting points as the kernel placed them before its
+    per-call trim, hull edges gathered by fancy indexing."""
+    b, d = c.shape[0], c.shape[1] - 1
+    with np.errstate(divide="ignore"):
+        u = np.where(np.abs(c) > 0, np.log(np.abs(c)), -np.inf)
+    row, lo, hi, start, along = [], [], [], [], []
+    for r, ur in enumerate(u.tolist()):
+        hull = []
+        for i in range(d + 1):
+            if ur[i] == -np.inf:
+                continue
+            while len(hull) >= 2:
+                i1, i2 = hull[-2], hull[-1]
+                if (ur[i] - ur[i1]) * (i2 - i1) >= (ur[i2] - ur[i1]) * (i - i1):
+                    hull.pop()
+                else:
+                    break
+            hull.append(i)
+        pos = 0
+        for i1, i2 in zip(hull, hull[1:]):
+            m = i2 - i1
+            row += [r] * m
+            lo += [i1] * m
+            hi += [i2] * m
+            start += [pos] * m
+            along += range(m)
+            pos += m
+    row, lo, hi = np.array(row), np.array(lo), np.array(hi)
+    m = hi - lo
+    radius = np.exp((u[row, lo] - u[row, hi]) / m)
+    ang = 2.0 * np.pi * (np.array(along) + 0.5) / m + 0.7 + 0.4 * np.array(start)
+    return (radius * np.exp(1j * ang)).reshape(b, d)
+
+
+def reference_aberth(c, fired):
+    """Reference: the Aberth-Ehrlich sweep before the stacked Horner pass.
+
+    Three ``_horner`` calls per sweep and unconditional masked writes.
+    ``fired`` counts the sweeps in which each rare safeguard wrote: the
+    denominator fix, the pull-back of a sick iterate, the step cap.
+    """
+    b, d = c.shape[0], c.shape[1] - 1
+    dc = c[:, 1:] * np.arange(1, d + 1)
+    noise = (np.abs(c) * (4.0 * np.arange(d + 1) + 1.0)).astype(complex)
+    full = [np.ascontiguousarray(np.broadcast_to(a.T[:, :, None], (a.shape[1], b, d)))
+            for a in (c, dc, noise)]
+    z = reference_guesses(c)
+    converged = np.zeros((b, d), dtype=bool)
+    rows, zr, live, coef = np.arange(b), z, ~converged, full
+    diagonal = (slice(None), np.arange(d), np.arange(d))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(numeric.ABERTH_SWEEPS):
+            mod = np.abs(zr)
+            p = _horner(coef[0], zr)
+            dp = _horner(coef[1], zr)
+            floor = _horner(coef[2], mod).real * numeric.EPS
+            diff = zr[:, :, None] - zr[:, None, :]
+            diff[diagonal] = np.inf
+            diff[diff == 0] = 1e-300
+            s = (1.0 / diff).sum(axis=2)
+            den = dp - p * s
+            bad = ~np.isfinite(den) | (den == 0.0)
+            fired["den"] += bool(bad.any())
+            den[bad] = 1.0
+            w = p / den
+            finite = np.isfinite(p)
+            sick = ~np.isfinite(w) | ~finite
+            fired["sick"] += bool(sick.any())
+            w[sick] = 0.5 * zr[sick]
+            cap = 1.0 + mod
+            big = np.abs(w) > cap
+            fired["cap"] += bool(big.any())
+            w[big] *= (cap[big] / np.abs(w[big]))
+            done = (
+                ((np.abs(w) < 1e-12 * cap) | (np.abs(p) <= floor))
+                & finite & np.isfinite(floor)
+            )
+            zr = np.where(live, zr - w, zr)
+            live = live & ~done
+            moving = live.any(axis=1)
+            if not moving.all():
+                z[rows[~moving]] = zr[~moving]
+                converged[rows[~moving]] = True
+                rows, zr, live = rows[moving], zr[moving], live[moving]
+                if rows.size == 0:
+                    break
+                coef = [a[:, moving] for a in coef]
+    z[rows] = zr
+    converged[rows] = ~live
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pz = _horner(full[0], z)
+        dpz = _horner(full[1], z)
+        incl = d * np.abs(pz) / np.maximum(np.abs(dpz), 1e-300)
+    incl[~np.isfinite(incl)] = np.inf
+    return z, converged, np.minimum(incl, 0.05 * (1.0 + np.abs(z)))
+
+
+def aberth_bits(z, flags, incl):
+    """Roots, flags and radii of an Aberth run, floats as exact hex strings."""
+    return [
+        (zi.real.hex(), zi.imag.hex(), fi, ri.hex())
+        for zi, fi, ri in zip(z.ravel().tolist(), flags.ravel().tolist(), incl.ravel().tolist())
+    ]
+
+
+def aberth_inputs():
+    """The stacks ``_aberth`` gets from ``batch_cases()``, a seeded spread
+    of degrees 1-40, batch sizes 1-64 and coefficient moduli 1e-16 to 1e2
+    (some middle coefficients exactly zero), a few stacks of degree 7 with
+    moduli 1e-300 to 1e300, and the huge degree gap."""
+    seen = []
+
+    def record(c):
+        seen.append(c.copy())
+        return _aberth(c)
+
+    numeric._aberth, saved = record, numeric._aberth
+    try:
+        _roots_batch(batch_cases())
+    finally:
+        numeric._aberth = saved
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        d = int(rng.integers(1, 41))
+        b = int(rng.integers(1, min(64, numeric._BATCH_PAIRS // (d * d)) + 1))
+        c = random_poly(rng, (b, d + 1))
+        c[:, 1:-1][rng.random((b, d - 1)) < 0.1] = 0.0
+        seen.append(c)
+    # moduli from 1e-300 to 1e300, where the safeguards decide the steps
+    seen += [random_poly(rng, (int(rng.integers(1, 9)), 8), -300, 300) for _ in range(8)]
+    gap = np.zeros((1, 90), dtype=complex)
+    gap[0, 0], gap[0, 1], gap[0, 89] = 1.0, -1.0, 1e-9
+    return seen + [gap]
+
+
+def test_aberth_matches_the_reference_sweep_bit_for_bit():
+    fired = {"den": 0, "sick": 0, "cap": 0}
+    for c in aberth_inputs():
+        # starting radii of the 1e300-spread stacks overflow to inf
+        with np.errstate(over="ignore"):
+            assert aberth_bits(*_aberth(c)) == aberth_bits(*reference_aberth(c, fired)), c.shape
+    # every safeguard wrote at least once, so the skipped writes are exercised
+    assert min(fired.values()) >= 1, fired
+
+
+def test_stacked_horner_matches_three_horner_calls():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300])
+    coef = st.builds(complex, st.floats(-1e3, 1e3) | special, st.floats(-1e3, 1e3) | special)
+    point = st.builds(complex, st.floats(width=64) | special, st.floats(width=64) | special)
+
+    def hexes(a):
+        return [(v.real.hex(), v.imag.hex()) for v in a.ravel().tolist()]
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        d, b = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+        c = np.array(data.draw(st.lists(coef, min_size=b * (d + 1), max_size=b * (d + 1))))
+        z = np.array(data.draw(st.lists(point, min_size=b * d, max_size=b * d)), dtype=complex)
+        c, z = c.reshape(b, d + 1), z.reshape(b, d)
+        with np.errstate(all="ignore"):
+            got = numeric._stacked_horner(numeric._levels(c), z)
+            dc = c[:, 1:] * np.arange(1, d + 1)
+            noise = (np.abs(c) * (4.0 * np.arange(d + 1) + 1.0)).astype(complex)
+            want = [_horner(c.T[:, :, None], z), _horner(dc.T[:, :, None], z),
+                    _horner(noise.T[:, :, None], np.abs(z))]
+        for row in range(3):
+            assert hexes(got[row]) == hexes(want[row]), (row, c, z)
+
+    check()
 
 
 def test_root_cluster_repr_mentions_multiplicity():
