@@ -12,7 +12,7 @@ basis
     Construct and verify an amoeba basis for a full-rank linear system.
 
 Exit codes: 0 success, 1 failed basis verification, 2 parse errors,
-3 degenerate inputs, 4 numeric non-convergence.
+3 degenerate inputs, 4 numeric non-convergence (errors.py declares them).
 
 Points are log coordinates by default; pass --abs to give coordinate
 moduli |z_j| instead.  All floats are printed with 12 significant
@@ -32,20 +32,7 @@ import warnings
 
 from . import __version__
 from .contour import classify_contour, trace_contour
-from .errors import (
-    AmoebaError,
-    AxiomFailure,
-    DegenerateFiber,
-    DegenerateSlice,
-    IdenticallyZero,
-    InconsistentOrder,
-    NoConvergence,
-    NotLinear,
-    Overflow,
-    ParseError,
-    SingularMatrix,
-    ZeroCoordinate,
-)
+from .errors import AmoebaError, AxiomFailure, InconsistentOrder, ParseError
 from .fiber import classify, fiber_solutions, lopsided, order
 from .linear import amoeba_basis, verify_basis
 from .parsing import format_poly, parse_poly
@@ -359,7 +346,8 @@ def _cmd_lopsided(args):
     return 0
 
 
-def _contour_rows(args):
+def _cmd_contour(args):
+    """contour and boundary: sorted CSV rows of the traced points, all or the boundary ones."""
     f = parse_poly(args.poly, 2)
     _check_outputs(args.output)
     with warnings.catch_warnings(record=True) as caught:
@@ -368,12 +356,10 @@ def _contour_rows(args):
     for note in caught:
         print(f"note: {note.message}", file=sys.stderr)
     parts = classify_contour(f, pts)
-    rows = []
-    for bucket in parts.values():
-        for p, pc in bucket:
-            rows.append((p.w[0], p.w[1], p.s_param, pc.tag))
-    rows.sort()
-    return rows
+    buckets = parts.values() if args.cmd == "contour" else [parts["boundary"]]
+    _write_csv(sorted((p.w[0], p.w[1], p.s_param, pc.tag) for bucket in buckets
+                      for p, pc in bucket), args.output)
+    return 0
 
 
 def _write_csv(rows, outputs):
@@ -386,17 +372,6 @@ def _write_csv(rows, outputs):
     for path in outputs:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
-
-
-def _cmd_contour(args):
-    _write_csv(_contour_rows(args), args.output)
-    return 0
-
-
-def _cmd_boundary(args):
-    rows = [r for r in _contour_rows(args) if r[3] == "Boundary"]
-    _write_csv(rows, args.output)
-    return 0
 
 
 def _cmd_raster(args):
@@ -489,7 +464,7 @@ def build_parser():
     add("fiber", _cmd_fiber, "all fiber torus solutions over a point", point=True)
     add("contour", _cmd_contour, "trace and classify the contour",
         slices=True, outputs=True)
-    add("boundary", _cmd_boundary, "boundary-classified contour points",
+    add("boundary", _cmd_contour, "boundary-classified contour points",
         slices=True, outputs=True)
     add("betti", _cmd_raster, "raster of fiber solution counts",
         window=True, outputs=True)
@@ -511,23 +486,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        span = f" at {exc.span}" if getattr(exc, "span", None) else ""
-        print(f"error: {exc}{span}", file=sys.stderr)
-        return 2
-    except (DegenerateFiber, DegenerateSlice, IdenticallyZero, SingularMatrix,
-            ZeroCoordinate, Overflow, NotLinear) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NoConvergence, InconsistentOrder) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except AxiomFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
     except AmoebaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, AxiomFailure):
+            print(f"verification failed: {exc}", file=sys.stderr)
+        else:
+            span = f" at {exc.span}" if getattr(exc, "span", None) else ""
+            print(f"error: {exc}{span}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

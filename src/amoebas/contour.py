@@ -28,11 +28,12 @@ from .fiber import (
     RESIDUAL_REL,
     _abs_at,
     _check_curve,
-    _classify_points,
     _eval_bi,
+    _fibers,
     _score,
     _slice,
     _staged,
+    _tag,
 )
 from .laurent import _collect_dense, _dense
 from .numeric import UniPoly, sylvester_resultant
@@ -71,13 +72,16 @@ class ContourPoint:
 
 
 def _polish_pair(gb, hb, z1, z2):
-    """At most six Newton steps on the holomorphic pair (g, h), damped per coordinate."""
-    for _ in range(6):
-        g, gg1, gg2 = _eval_bi(gb, z1, z2)
-        h, hg1, hg2 = _eval_bi(hb, z1, z2)
-        sg = _abs_at(gb, z1, z2)[0]
-        sh = _abs_at(hb, z1, z2)[0]
-        if abs(g) <= 1e-14 * sg and abs(h) <= 1e-14 * sh:
+    """At most six Newton steps on the holomorphic pair (g, h), damped per coordinate.
+
+    Returns z1, z2 and ``_eval_bi`` and ``_abs_at`` of g and h there (None when a
+    coordinate ran to zero); the seventh pass only evaluates.
+    """
+    for k in range(7):
+        g, gg1, gg2 = ge = _eval_bi(gb, z1, z2)
+        h, hg1, hg2 = he = _eval_bi(hb, z1, z2)
+        ga, ha = _abs_at(gb, z1, z2), _abs_at(hb, z1, z2)
+        if k == 6 or (abs(g) <= 1e-14 * ga[0] and abs(h) <= 1e-14 * ha[0]):
             break
         a11, a12 = gg1 / z1, gg2 / z2
         a21, a22 = hg1 / z1, hg2 / z2
@@ -92,8 +96,8 @@ def _polish_pair(gb, hb, z1, z2):
             d2 /= ratio
         z1, z2 = z1 - d1, z2 - d2
         if abs(z1) < 1e-300 or abs(z2) < 1e-300:
-            break
-    return z1, z2
+            return z1, z2, None
+    return z1, z2, (ge, ga, he, ha)
 
 
 def _eliminate(curve, theta):
@@ -107,13 +111,9 @@ def _eliminate(curve, theta):
     z2-free f always takes the second way.
     """
     gb, lg1, lg2 = curve
-    st, ct = math.sin(theta), math.cos(theta)
     # snap axis directions: cos(pi/2) is 6.1e-17 in floats, which would hide
     # an identically vanishing Gauss combination behind a phantom tiny term
-    if abs(st) < 1e-15:
-        st = 0.0
-    if abs(ct) < 1e-15:
-        ct = 0.0
+    st, ct = (0.0 if abs(v) < 1e-15 else v for v in (math.sin(theta), math.cos(theta)))
     comb = _collect_dense(st * lg2, -(ct * lg1))
     i, j = np.nonzero(comb)
     if not i.size:
@@ -167,13 +167,10 @@ def _points(state, found):
 
     kept = []  # entries [z1, z2, residual]
     for t1, t2 in pairs:
-        z1, z2 = _polish_pair(gb, hb, t1, t2)
+        z1, z2, evals = _polish_pair(gb, hb, t1, t2)
         if min(abs(z1), abs(z2)) < TORUS_CUTOFF:
             continue
-        gval, gg1, gg2 = _eval_bi(gb, z1, z2)
-        hval = _eval_bi(hb, z1, z2)[0]
-        sg, sgg1, sgg2 = _abs_at(gb, z1, z2)
-        sh = _abs_at(hb, z1, z2)[0]
+        (gval, gg1, gg2), (sg, sgg1, sgg2), (hval, _, _), (sh, _, _) = evals
         # both |g| and |h| must pass the fiber solver's residual rule
         if not (abs(gval) <= RESIDUAL_REL * sg and abs(hval) <= RESIDUAL_REL * sh):
             continue  # also rejects non-finite values from runaway candidates
@@ -311,11 +308,7 @@ def classify_contour(f, points):
     """
     points = list(points)
     out = {"boundary": [], "inner": [], "degenerate": []}
-    for p, pc in zip(points, _classify_points(f, [p.w for p in points])):
-        if pc.tag == "Boundary":
-            out["boundary"].append((p, pc))
-        elif pc.tag == "Degenerate":
-            out["degenerate"].append((p, pc))
-        else:
-            out["inner"].append((p, pc))
+    for p, pc in zip(points, map(_tag, _fibers(f, [p.w for p in points]))):
+        bucket = {"Boundary": "boundary", "Degenerate": "degenerate"}.get(pc.tag, "inner")
+        out[bucket].append((p, pc))
     return out

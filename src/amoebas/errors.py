@@ -1,19 +1,23 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from :class:`AmoebaError`, so
-callers (and the command line driver) can map failure families to exit
-codes without string matching.
+Every error raised by the library derives from :class:`AmoebaError`, and
+each family declares here, as ``exit_code``, the exit status of the
+command line driver: 1 for a failed basis verification (and any other
+AmoebaError), 2 for parse errors, 3 for degenerate inputs and 4 for
+numeric non-convergence.  A subclass inherits its family's code.
 """
 
 
 class AmoebaError(Exception):
     """Base class for all library errors."""
+    exit_code = 1
 
 
 # ---------------------------------------------------------------- parsing
 
 class ParseError(AmoebaError):
     """Base for expression-parsing failures; carries a byte span."""
+    exit_code = 2
 
     def __init__(self, message, span=None):
         super().__init__(message)
@@ -36,46 +40,55 @@ class EmptyInput(ParseError):
 
 class ZeroCoordinate(AmoebaError):
     """A coordinate is zero (or numerically zero) where a nonzero one is required."""
+    exit_code = 3
 
 
 class Overflow(AmoebaError):
     """Exponent data exceeds the representable range even after normalization."""
+    exit_code = 3
 
 
 # ---------------------------------------------------------- numeric kernel
 
 class SingularMatrix(AmoebaError):
     """A pivot fell below the singularity threshold during elimination."""
+    exit_code = 3
 
 
 class NoConvergence(AmoebaError):
     """An iteration hit its cap before meeting its tolerance."""
+    exit_code = 4
 
 
 class IdenticallyZero(AmoebaError):
     """A resultant vanished at every sample node (common component)."""
+    exit_code = 3
 
 
 # ------------------------------------------------------------ fiber oracle
 
 class DegenerateFiber(AmoebaError):
     """The fiber intersection is not a finite point set."""
+    exit_code = 3
 
 
 class InconsistentOrder(AmoebaError):
     """Winding counts disagree across validation angles (w too close to the amoeba)."""
+    exit_code = 4
 
 
 # ----------------------------------------------------------- contour tracer
 
 class DegenerateSlice(AmoebaError):
     """A contour slice produced an identically zero resultant."""
+    exit_code = 3
 
 
 # ------------------------------------------------------------ linear amoeba
 
 class NotLinear(AmoebaError):
     """Input polynomial is not of the form c0 + sum_j b_j z_j with c0 != 0."""
+    exit_code = 3
 
 
 class AxiomFailure(AmoebaError):

@@ -143,12 +143,12 @@ def _abs_at(b, z1, z2):
 
 
 def _polish_phi(gb, phi, scale):
-    """At most ten Newton steps on (Re g, Im g)(phi), exactly on the torus."""
+    """At most ten Newton steps on (Re g, Im g)(phi), exactly on the torus: the wrapped
+    phi and ``_eval_bi`` of g there (each pass evaluates first, the eleventh only that)."""
     p1, p2 = phi
-    for _ in range(10):
-        t1, t2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
-        val, g1, g2 = _eval_bi(gb, t1, t2)
-        if abs(val) < 1e-15 * scale:
+    for k in range(11):
+        val, g1, g2 = _eval_bi(gb, cmath.exp(1j * p1), cmath.exp(1j * p2))
+        if k == 10 or abs(val) < 1e-15 * scale:
             break
         # d/dphi_j g(e^{i phi}) = i gamma_j
         j11, j12 = -g1.imag, -g2.imag
@@ -168,8 +168,6 @@ def _polish_phi(gb, phi, scale):
         if step > 0.3:
             d1, d2 = 0.3 * d1 / step, 0.3 * d2 / step
         p1, p2 = p1 - d1, p2 - d2
-    t1, t2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
-    val, g1, g2 = _eval_bi(gb, t1, t2)
     return (_wrap(p1), _wrap(p2)), val, g1, g2
 
 
@@ -456,14 +454,6 @@ def _fibers(f, ws):
     return (([], []) if out is None else out for out in solved)
 
 
-def _solve_fiber(f, w):
-    """Core solver at one point; returns (solutions, gauss_pairs) sorted by phi."""
-    out = next(_fibers(f, [w]))
-    if isinstance(out, AmoebaError):
-        raise out
-    return out
-
-
 def fiber_solutions(f, w):
     """All intersections of V(f) with the fiber torus over w (n = 2).
 
@@ -492,8 +482,10 @@ def fiber_solutions(f, w):
     NoConvergence
         If a resultant or back-substitution root did not converge.
     """
-    sols, _ = _solve_fiber(f, w)
-    return sols
+    solved = next(_fibers(f, [w]))
+    if isinstance(solved, AmoebaError):
+        raise solved
+    return solved[0]
 
 
 def classify(f, w):
@@ -517,20 +509,14 @@ def classify(f, w):
     NoConvergence
         As ``fiber_solutions``.
     """
-    return next(_classify_points(f, [w]))
-
-
-def _classify_points(f, ws):
-    """``classify`` at many points, as an iterator in order.
-
-    ``_check_curve`` runs before the iterator is returned.  A degenerate
-    fiber tags its own point only; a NoConvergence at any point is raised.
-    """
-    return map(_tag, _fibers(f, ws))
+    return _tag(next(_fibers(f, [w])))
 
 
 def _tag(solved):
-    """The PointClass of one entry of ``_fibers``."""
+    """The PointClass of one entry of ``_fibers``.
+
+    A degenerate fiber tags its own point only; a NoConvergence is raised.
+    """
     if isinstance(solved, DegenerateFiber):
         return PointClass("Degenerate")
     if isinstance(solved, AmoebaError):

@@ -264,8 +264,22 @@ def _torus_moduli(items, w):
     return [math.exp(m - cap) for m in logs], cap
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _chain(xs, ys, turn):
+    """Positions in (xs, ys) of Andrew's monotone chain through points in x order:
+    the lower hull (turn = 1) or the upper hull (turn = -1), collinear points dropped.
+    A point at y = -inf (the log of a zero coefficient) is no point."""
+    out = []
+    for k in range(len(xs)):
+        x, y = xs[k], ys[k]
+        if y == -math.inf:
+            continue
+        while len(out) >= 2:
+            i, j = out[-2], out[-1]
+            if turn * ((xs[j] - xs[i]) * (y - ys[i]) - (ys[j] - ys[i]) * (x - xs[i])) > 0:
+                break
+            out.pop()
+        out.append(k)
+    return out
 
 
 def newton_polytope(f):
@@ -289,17 +303,10 @@ def newton_polytope(f):
     pts = sorted(set(f.terms))
     if len(pts) == 1:
         return NewtonPolytope(pts, 0)
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    verts = lower[:-1] + upper[:-1]
+    xs, ys = zip(*pts)
+    # the lower hull left to right, then the upper hull right to left
+    verts = ([pts[k] for k in _chain(xs, ys, 1)[:-1]]
+             + [pts[-1 - k] for k in _chain(xs[::-1], ys[::-1], 1)[:-1]])
     if len(verts) < 3:
         return NewtonPolytope(verts[:2], 0)
     area2 = 0

@@ -1,4 +1,4 @@
-"""Self-contained numeric kernel for the torus computations.
+"""Numeric kernel for the torus computations (``laurent`` lends it the hull, ``_chain``).
 
 Univariate dense polynomials over C, a simultaneous (Aberth-Ehrlich) root
 finder with cluster-based multiplicities, a partial-pivot LU linear solve,
@@ -14,19 +14,24 @@ clusters come out bit for bit the same alone or in any batch; ``roots``
 is the batch of one.
 
 A sweep evaluates p, p' and the round-off bound of |p| in one stacked
-Horner pass, and its safeguards write only when their masks hold a true
-entry.  It stays in numpy arrays even for one polynomial: numpy's array
-complex *, / and abs differ from Python's scalar operators in the last
-bit on some inputs, but not with the array's length, shape or layout.
+Horner pass.  Three safeguards write, each only where its mask holds: a
+zero or non-finite Aberth denominator becomes 1, an iterate whose value
+or step is not finite moves halfway to the origin, and a step longer
+than 1 + |z| is cut to that length.  The sweep stays in numpy arrays
+even for one polynomial: numpy's array complex *, / and abs differ from
+Python's scalar operators in the last bit on some inputs, but not with
+the array's length, shape or layout.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .errors import IdenticallyZero, NoConvergence, SingularMatrix
+from .laurent import _chain
 
 EPS = 2.0**-53
 
@@ -113,41 +118,33 @@ class RootCluster:
         )
 
 
+@functools.cache
+def _arc(m):
+    """Angles 2 pi (k + 1/2) / m + 0.7, k < m: m points spread over a circle."""
+    return tuple(2.0 * math.pi * (k + 0.5) / m + 0.7 for k in range(m))
+
+
 def _initial_guesses(c):
     """Bini-style starting points on circles from the coefficient Newton polygon.
 
     One row of d starting points per row of c (shape (B, d+1)): each edge
-    of the upper hull of (k, log|c_k|), with horizontal length m, puts m
-    points on the circle of the radius that edge's slope gives.
+    of the upper hull of (k, log|c_k|), from i1 with horizontal length m,
+    puts m points, turned by 0.4 i1, on the circle its slope gives.  Under
+    ``_aberth``'s np.errstate a zero coefficient's log is a silent -inf.
     """
     b, d = c.shape[0], c.shape[1] - 1
-    with np.errstate(divide="ignore"):
-        u = np.log(np.abs(c)).tolist()
-    # per root: the log radius of its hull edge (i1, i2), its index along
-    # the edge, and the edge's length and start i1
-    expo, along, length, start = [], [], [], []
+    u = np.log(np.abs(c)).tolist()
+    expo, arc, start = [], [], []  # per root: log radius, angle, its edge's i1
+    every = list(range(d + 1))
     for ur in u:
-        hull = []
-        for i in range(d + 1):
-            if ur[i] == -np.inf:
-                continue
-            while len(hull) >= 2:
-                i1, i2 = hull[-2], hull[-1]
-                # drop i2 if it lies on or below the segment i1 -> i
-                if (ur[i] - ur[i1]) * (i2 - i1) >= (ur[i2] - ur[i1]) * (i - i1):
-                    hull.pop()
-                else:
-                    break
-            hull.append(i)
+        hull = _chain(every, ur, -1)
         for i1, i2 in zip(hull, hull[1:]):
             m = i2 - i1
             expo += [(ur[i1] - ur[i2]) / m] * m
-            along += range(m)
-            length += [m] * m
+            arc += _arc(m)
             start += [i1] * m
-    expo, along, m, start = np.array((expo, along, length, start))
-    ang = 2.0 * np.pi * (along + 0.5) / m + 0.7 + 0.4 * start
-    return (np.exp(expo) * np.exp(1j * ang)).reshape(b, d)
+    expo, arc, start = np.array((expo, arc, start))
+    return (np.exp(expo) * np.exp(1j * (arc + 0.4 * start))).reshape(b, d)
 
 
 def _levels(c):
@@ -207,20 +204,17 @@ def _aberth(c):
     """
     b, d = c.shape[0], c.shape[1] - 1
     lev = _levels(c)
-    z = _initial_guesses(c)
     converged = np.zeros((b, d), dtype=bool)
-    # the rows still iterating: their indices, roots, live roots, levels
-    rows, zr, live, coef = np.arange(b), z, ~converged, lev
     excl = _self_excluded(d)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = _initial_guesses(c)
+        # the rows still iterating: their indices, roots, live roots, levels
+        rows, zr, live, coef = np.arange(b), z, ~converged, lev
         for _ in range(ABERTH_SWEEPS):
             p, dp, floor = _stacked_horner(coef, zr)
             floor = floor.real * EPS
             diff = zr[:, :, None] - zr[:, None, :]
             diff += excl
-            tie = diff == 0
-            if np.count_nonzero(tie):
-                diff[tie] = 1e-300
             s = np.add.reduce(1.0 / diff, axis=2)
             den = dp - p * s
             bad = ~np.isfinite(den) | (den == 0.0)
@@ -478,11 +472,9 @@ def _sylvester_batch(avals, bvals):
     kk, m1 = avals.shape
     m, l = m1 - 1, bvals.shape[1] - 1
     s = np.concatenate((avals, bvals, np.zeros((kk, 1))), axis=1)[:, _sylvester_index(m, l)]
-    dets = np.linalg.det(s)
-    norm_a = np.linalg.norm(avals, axis=1)
-    norm_b = np.linalg.norm(bvals, axis=1)
-    hadamard = norm_a**l * norm_b**m
-    return dets, hadamard
+    # the row 2-norms, as np.linalg.norm computes them, without its dispatch
+    norm_a, norm_b = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=1)) for x in (avals, bvals))
+    return np.linalg.det(s), norm_a**l * norm_b**m
 
 
 @functools.cache

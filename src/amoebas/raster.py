@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fiber import _classify_points
+from .fiber import _fibers, _tag
 
 # value stored in Betti cells whose fiber intersection is not finite
 SENTINEL = -1
@@ -74,7 +74,7 @@ def amoeba_grids(f, window, resolution):
     xs, ys = betti.centers()
     nx, ny = betti.resolution
     points = [(float(xs[i]), float(ys[j])) for i in range(nx) for j in range(ny)]
-    for idx, pc in enumerate(_classify_points(f, points)):
+    for idx, pc in enumerate(map(_tag, _fibers(f, points))):
         i, j = divmod(idx, ny)
         betti.cells[i, j] = SENTINEL if pc.tag == "Degenerate" else len(pc.solutions)
         tags.cells[i, j] = pc.tag

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import amoebas.cli as cli
+import amoebas.errors as errors
 import amoebas.numeric as numeric
 from amoebas.cli import main
 
@@ -277,6 +278,40 @@ def test_order_beyond_the_exponential_range(capsys):
     assert (obj["tag"], obj["order"]) == ("Complement", [1, 0])
     code, out, _ = run(capsys, "lopsided", "--poly", poly, "--point", point)
     assert json.loads(out)["alpha"] == [1, 0]
+
+
+# the exit code of each error family, as README "Command line" documents it
+FAMILY_EXIT = {
+    "AmoebaError": 1, "AxiomFailure": 1,
+    "ParseError": 2, "PolySyntaxError": 2, "UnknownVariable": 2, "EmptyInput": 2,
+    "ZeroCoordinate": 3, "Overflow": 3, "SingularMatrix": 3, "IdenticallyZero": 3,
+    "DegenerateFiber": 3, "DegenerateSlice": 3, "NotLinear": 3,
+    "NoConvergence": 4, "InconsistentOrder": 4,
+}
+
+
+def test_every_error_class_has_its_documented_exit_code():
+    found = {name: cls.exit_code for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.AmoebaError)}
+    assert found == FAMILY_EXIT
+
+
+@pytest.mark.parametrize("parent, code, says", [
+    (errors.AmoebaError, 1, "error: raised"),
+    (errors.AxiomFailure, 1, "verification failed: raised"),
+    (errors.ParseError, 2, "error: raised"),
+    (errors.DegenerateFiber, 3, "error: raised"),
+    (errors.NoConvergence, 4, "error: raised"),
+])
+def test_an_error_subclass_exits_with_its_family_code(capsys, monkeypatch, parent, code, says):
+    class Raised(parent):
+        pass
+
+    def order(f, w):
+        raise Raised("raised")
+
+    monkeypatch.setattr(cli, "order", order)
+    assert run(capsys, "order", "--poly", CUBIC13, "--point", "0,0") == (code, "", says + "\n")
 
 
 def test_singular_basis_matrix_is_exit_3(capsys):

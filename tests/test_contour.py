@@ -20,7 +20,8 @@ from amoebas import (
 )
 import amoebas.contour
 import amoebas.fiber
-from amoebas.contour import SkippedSlices
+from amoebas.contour import ContourPoint, SkippedSlices, _polish_pair
+from amoebas.fiber import _abs_at, _eval_bi
 
 CUBIC = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
 HARNACK = parse_poly("z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1", 2)
@@ -155,6 +156,42 @@ def test_degenerate_slice_raises():
         contour_slice(f, math.pi / 2.0)
 
 
+def test_slice_sharing_a_component_with_the_variety_raises():
+    # z1*z2 - 1 has equal Gauss numerators, so it divides the Gauss
+    # combination at pi/4 as it divides f, and the resultant vanishes
+    f = parse_poly("(z1*z2 - 1)*(z1 + z2 + 3)", 2)
+    with pytest.raises(DegenerateSlice, match="shares a component with the variety"):
+        contour_slice(f, math.pi / 4.0)
+
+
+def evaluations(gb, hb, z1, z2):
+    return (_eval_bi(gb, z1, z2), _abs_at(gb, z1, z2), _eval_bi(hb, z1, z2), _abs_at(hb, z1, z2))
+
+
+def test_polish_pair_returns_the_evaluations_at_its_own_exit():
+    # the exits no traced slice reaches; each returns, bit for bit, what
+    # _eval_bi and _abs_at give for g and h at its final point
+    line = np.array([[1, 1], [1, 0]], dtype=complex)  # g = 1 + z1 + z2
+    # h = 2g: the Jacobian determinant vanishes and the first pass stops
+    start = (0.3 + 0.2j, 0.5 - 0.1j)
+    z1, z2, evals = _polish_pair(line, 2.0 * line, *start)
+    assert (z1, z2) == start
+    assert repr(evals) == repr(evaluations(line, 2.0 * line, *start))
+    # h = z1 - z2 meets g at (-1/2, -1/2) with a constant, regular Jacobian;
+    # from 1e6 every damped step halves the distance, so the step cap ends
+    # the polish near 1e6 / 2^6 with |g| far above the convergence test
+    diff = np.array([[0, -1], [1, 0]], dtype=complex)
+    z1, z2, evals = _polish_pair(line, diff, 1e6 + 1e5j, 2e6 + 0j)
+    assert 1.5e4 < abs(z1) < 1.6e4 and 3.1e4 < abs(z2) < 3.2e4
+    assert abs(evals[0][0]) > 1e-14 * evals[1][0]
+    assert repr(evals) == repr(evaluations(line, diff, z1, z2))
+    # g = z1, h = z2 - 1: the damped step halves z1 below 1e-300, and the
+    # zero-coordinate exit returns no evaluations
+    z1, z2, evals = _polish_pair(np.array([[0, 0], [1, 0]], dtype=complex),
+                                 np.array([[-1, 1]], dtype=complex), 1.5e-300 + 0j, 1 + 0j)
+    assert (z1, z2, evals) == (7.5e-301 + 0j, 1 + 0j, None)
+
+
 def test_slice_vs_modulus_sweep_oracle():
     # fix |z1| = r and sweep the phase: local extremes of log|z2| along the
     # root branches are contour points, so each must be near the traced
@@ -221,6 +258,16 @@ def test_classify_contour_harnack_has_no_inner_class():
     split = classify_contour(HARNACK, pts)
     assert split["inner"] == []
     assert len(split["boundary"]) >= 0.95 * len(pts)
+
+
+def test_classify_contour_files_a_degenerate_fiber_apart():
+    # every fiber over (0, 0) holds the circle z1*z2 = 1
+    f = parse_poly("(z1*z2 - 1)*(1 + z1 + z2)", 2)
+    p = ContourPoint((0.0, 0.0), 0.0, (1, 1))
+    assert classify(f, p.w).tag == "Degenerate"
+    split = classify_contour(f, [p])
+    assert (split["boundary"], split["inner"]) == ([], [])
+    assert [(q, pc.tag) for q, pc in split["degenerate"]] == [(p, "Degenerate")]
 
 
 def point_bits(p):

@@ -30,7 +30,7 @@ from amoebas import (
     sylvester_resultant,
     trace_contour,
 )
-from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _eval_bi, _score, _solve_fiber
+from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _eval_bi, _score
 from amoebas.laurent import _dense
 from amoebas.numeric import RootCluster
 
@@ -215,7 +215,7 @@ def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
             continue
         calls.clear()
         try:
-            sols, _ = _solve_fiber(f, w)
+            sols = fiber_solutions(f, w)
         except DegenerateFiber:
             continue
         if calls == [None] and np.count_nonzero(fiber_restrict(f, w)[0]) > 1:

@@ -147,6 +147,12 @@ def test_newton_polytope_segment_and_point():
     assert pt.normalized_volume == 0
 
 
+def test_newton_polytope_in_one_variable():
+    np_ = newton_polytope(parse_poly("z1^-2 + 3*z1^5", 1))
+    assert np_.vertices == ((-2,), (5,))
+    assert np_.normalized_volume == 7
+
+
 def test_restriction_agrees_with_direct_evaluation():
     rng = random.Random(2024)
     for _ in range(40):
