@@ -31,12 +31,11 @@ from .fiber import (
     _eval_bi,
     _fibers,
     _score,
-    _slice,
     _staged,
     _tag,
 )
-from .laurent import _collect_dense, _dense
-from .numeric import UniPoly, sylvester_resultant
+from .laurent import _collect, _dense
+from .numeric import sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
 # moduli below this cutoff are elimination artifacts, not torus points
@@ -101,59 +100,55 @@ def _polish_pair(gb, hb, z1, z2):
 
 
 def _eliminate(curve, theta):
-    """First stage of a slice: ((gb, hb, theta), the t1 polynomial).
+    """First stage of a slice: ((gb, coeff_sum, hb, theta), the t1 polynomial).
 
-    ``curve`` is (gb, G1, G2): the dense cleared f and its two logarithmic
-    Gauss numerators on the same grid.  The t1 polynomial is the Sylvester
-    resultant of g and h (the combination, trimmed to its support) in z2,
-    or the z2-free h itself when the Gauss combination lost its z2
-    dependence.  Every exponent of the combination is one of f's, so a
-    z2-free f always takes the second way.
+    ``curve`` is (gb, coeff_sum, terms): the dense cleared f, the sum of
+    its coefficient moduli and f's (exponent, coefficient) pairs.  The Gauss
+    combination sin(theta) z2 df/dz2 - cos(theta) z1 df/dz1 is summed term
+    by term by ``_collect`` and laid out on its support by ``_dense`` as hb.
+    The t1 polynomial is the Sylvester resultant of g and h in z2, or the
+    z2-free h itself when the Gauss combination lost its z2 dependence.
+    Every exponent of the combination is one of f's, so a z2-free f always
+    takes the second way.
     """
-    gb, lg1, lg2 = curve
+    gb, coeff_sum, terms = curve
     # snap axis directions: cos(pi/2) is 6.1e-17 in floats, which would hide
     # an identically vanishing Gauss combination behind a phantom tiny term
     st, ct = (0.0 if abs(v) < 1e-15 else v for v in (math.sin(theta), math.cos(theta)))
-    comb = _collect_dense(st * lg2, -(ct * lg1))
-    i, j = np.nonzero(comb)
-    if not i.size:
+    comb = _collect({}, ((a, c) for a, b in terms for c in (st * (b * a[1]), -(ct * (b * a[0])))))
+    if not comb:
         raise DegenerateSlice(
             f"Gauss combination vanishes identically at theta={theta:.6f}"
         )
-    hb = comb[i.min():i.max() + 1, j.min():j.max() + 1]
+    hb = _dense(comb.items(), 2)
+    state = (gb, coeff_sum, hb, theta)
     if hb.shape[1] == 1:
-        return (gb, hb, theta), UniPoly(hb[:, 0])
+        return state, hb[:, 0]
     try:
-        return (gb, hb, theta), sylvester_resultant(gb, hb)
+        return state, sylvester_resultant(gb, hb)
     except IdenticallyZero as exc:
         raise DegenerateSlice(
             f"slice at theta={theta:.6f} shares a component with the variety"
         ) from exc
 
 
-def _backsub_slices(state, found):
-    """The (t1, z2-slice of g) pair of each t1 root off the origin; a vanished slice raises."""
-    gb = state[0]
-    coeff_sum = float(np.abs(gb).sum())
-    out = []
-    for cl in found:
-        t1 = cl.center
-        if abs(t1) < TORUS_CUTOFF:
-            continue
-        slice_c = _slice(gb, coeff_sum, t1)
-        if slice_c is None:
-            raise DegenerateSlice("the variety contains a coordinate line through a slice root")
-        out.append((t1, UniPoly(slice_c)))
-    return state, out
+def _pick(state, found):
+    """Every t1 root off the origin goes on, as its own head."""
+    return state, [(cl.center, cl.center) for cl in found if not abs(cl.center) < TORUS_CUTOFF]
+
+
+def _vanished(t1):
+    """A vanished slice: V(f) holds the line z1 = t1, so the slice system is not finite."""
+    raise DegenerateSlice("the variety contains a coordinate line through a slice root")
 
 
 def _points(state, found):
     """Polish, deduplicate and sort the witnesses of one slice.
 
-    ``found`` pairs each t1 of ``_backsub_slices`` with the root clusters
-    of its slice.
+    ``found`` pairs each t1 of ``_pick`` with the root clusters of its
+    slice.
     """
-    gb, hb, theta = state
+    gb, _, hb, theta = state
     direct = hb.shape[1] == 1
     pairs = []
     for t1, roots2 in found:
@@ -204,19 +199,18 @@ def _points(state, found):
 def _sweep(f, thetas):
     """Solve many slices through ``fiber._staged``.
 
-    The stages are: Gauss combination and elimination per slice; the
-    back-substitution slices per slice; polishing and deduplication per
-    candidate.  The dense f is built once, and its Gauss numerators z_j df/dz_j
-    as copies on the same grid, each term weighted by its z_j-exponent.
-    Returns an iterator with one entry per angle: the sorted ContourPoint
-    list of ``contour_slice``, or the DegenerateSlice raised for that
-    slice alone.
+    The stages are: Gauss combination and elimination per slice; every t1
+    root off the origin to back-substitution, where a vanished slice
+    raises; polishing and deduplication per candidate.  The dense f and
+    its coefficient modulus sum are built once per curve.  Returns an
+    iterator with one entry per angle: the sorted ContourPoint list of
+    ``contour_slice``, or the DegenerateSlice raised for that slice alone.
     """
     _check_curve(f)
-    items = f.terms.items()
-    curve = (_dense(items, 2), *(_dense(((a, b * a[j]) for a, b in items), 2) for j in (0, 1)))
+    gb = _dense(f.terms.items(), 2)
+    curve = (gb, float(np.abs(gb).sum()), f.terms.items())
     return _staged(map(float, thetas), functools.partial(_eliminate, curve),
-                   _backsub_slices, _points, (DegenerateSlice,))
+                   _pick, _vanished, _points, (DegenerateSlice,))
 
 
 def contour_slice(f, theta):
@@ -243,6 +237,8 @@ def contour_slice(f, theta):
         If f is the zero polynomial or a monomial: there is no curve.
     DegenerateSlice
         When the slice system is not zero-dimensional at this angle.
+    Overflow
+        If a coefficient of the Gauss combination is not a finite float.
     NoConvergence
         If a resultant or back-substitution root did not converge.
     """

@@ -26,7 +26,7 @@ from .errors import (
     NoConvergence,
 )
 from .laurent import _torus_moduli, fiber_restrict
-from .numeric import UniPoly, _roots_batch, sylvester_resultant
+from .numeric import _roots_batch, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
 
 FIBER_TAGS = ("Complement", "Interior", "ContourInterior", "Boundary", "Degenerate")
@@ -282,50 +282,30 @@ def _eliminate(f, w):
     return (gb, coeff_sum), res
 
 
-def _slice(gb, coeff_sum, t1):
-    """g(t1, .) in t2, or None when it vanished: g has the t2-free factor t1 - c.
+def _pick(state, found):
+    """Merge the resultant clusters; each within UNIT_BAND of |t| = 1 goes on.
 
-    Every slice coefficient is at most coeff_sum (the sum of g's coefficient
-    moduli) times max(1, |t1|)^deg1; vanished is below 1e-13 of that bound.
+    Returns ((gb, coeff_sum, clusters), pairs): the merged (center,
+    multiplicity) pairs, and a ((cluster id, t1), t1) pair per cluster
+    in the band.
     """
-    pows = t1 ** np.arange(gb.shape[0])
-    slice_c = pows @ gb
-    # |t1^deg1| stands for |t1|^deg1, which a Python float power could overflow
-    if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum * max(1.0, abs(pows[-1])):
-        return None
-    return slice_c
-
-
-def _backsub_slices(state, found):
-    """Merge the resultant clusters and back-substitute those near |t| = 1.
-
-    Returns ((gb, coeff_sum, clusters), slices): the merged (center,
-    multiplicity) pairs, and a ((cluster id, t1), slice in t2) pair per
-    cluster within UNIT_BAND of the unit circle.  A vanished slice
-    (``_slice``) at c within UNIT_ROOT_TOL of |t| = 1 is a full circle on
-    the torus (DegenerateFiber); farther off, the line t1 = c misses the
-    torus and the cluster has no candidate.
-    """
-    gb, coeff_sum = state
     clusters = _merge_near_unit(found)
-    out = []
-    for ci, (t1, _) in enumerate(clusters):
-        if not (abs(abs(t1) - 1.0) <= UNIT_BAND):  # also drops non-finite centers
-            continue
-        slice_c = _slice(gb, coeff_sum, t1)
-        if slice_c is None:
-            if abs(abs(t1) - 1.0) < UNIT_ROOT_TOL:
-                raise DegenerateFiber("restriction has a t2-free factor with a unit root: "
-                                      "the fiber meets the variety in full circles")
-            continue
-        out.append(((ci, t1), UniPoly(slice_c)))
-    return (gb, coeff_sum, clusters), out
+    return (*state, clusters), [((ci, t1), t1) for ci, (t1, _) in enumerate(clusters)
+                                if abs(abs(t1) - 1.0) <= UNIT_BAND]  # drops non-finite t1
+
+
+def _vanished(t1):
+    """A vanished slice at t1 within UNIT_ROOT_TOL of |t| = 1 is a full circle on the
+    torus (DegenerateFiber); farther off, the line t1 = c misses the torus: skipped."""
+    if abs(abs(t1) - 1.0) < UNIT_ROOT_TOL:
+        raise DegenerateFiber("restriction has a t2-free factor with a unit root: "
+                              "the fiber meets the variety in full circles")
 
 
 def _solutions(state, found):
     """Polish the torus candidates of one fiber and group them into solutions.
 
-    ``state`` comes from ``_backsub_slices`` and ``found`` pairs each
+    ``state`` comes from ``_pick`` and ``found`` pairs each
     (cluster id, t1) with the root clusters of its slice.  Returns
     (solutions, gauss_pairs) sorted by phi.
     """
@@ -380,19 +360,23 @@ def _solutions(state, found):
     return sols, gauss
 
 
-def _staged(items, eliminate, backsub, finish, errors):
+def _staged(items, eliminate, pick, vanished, finish, errors):
     """Solve many zero-dimensional systems in stages that batch the root finder.
 
     Items go in blocks of _BATCH.  Per block, the stages are:
-    ``eliminate(item)`` per item, giving (state, polynomial in t1), or
-    None when no root finder is needed; one batched root finder over all
-    t1 polynomials; ``backsub(state, roots)`` per item, giving (state,
-    slices), a list of (head, polynomial in t2) pairs; one batched root
+    ``eliminate(item)`` per item, giving (state, polynomial in t1) with
+    state opening on the dense g and its coefficient modulus sum, or None
+    when no root finder is needed; one batched root finder over all t1
+    polynomials; ``pick(state, roots)`` per item, giving (state, a list of
+    (head, t1) pairs); the slice g(t1, .) in t2 per pair; one batched root
     finder over all slices; ``finish(state, [(head, roots), ...])`` per
-    item.  Every root set passes ``_converged`` before a stage reads it.
-    Yields one entry per item, in order: the result of ``finish``, None,
-    or the exception of one of the ``errors`` types raised for that item
-    alone.
+    item.  A slice has vanished (g has the t2-free factor t1 - c) when its
+    largest coefficient is below 1e-13 of coeff_sum * max(1, |t1|)^deg1,
+    the bound on every slice coefficient; ``vanished(t1)`` then raises, or
+    returns to drop the pair.  Every root set passes ``_converged`` before
+    a stage reads it.  Yields one entry per item, in order: the result of
+    ``finish``, None, or the exception of one of the ``errors`` types
+    raised for that item alone.
     """
     items = list(items)
     for lo in range(0, len(items), _BATCH):
@@ -408,10 +392,21 @@ def _staged(items, eliminate, backsub, finish, errors):
             if elim is not None:
                 live.append((k, *elim))
 
-        staged = []  # (index, state, slices)
+        staged = []  # (index, state, [(head, slice in t2), ...])
         for (k, state, _), found in zip(live, _roots_batch([it[2] for it in live])):
             try:
-                staged.append((k, *backsub(state, _converged(found))))
+                state, picked = pick(state, _converged(found))
+                gb, coeff_sum = state[:2]
+                slices = []
+                for head, t1 in picked:
+                    pows = t1 ** _exponents(gb.shape[0])
+                    slice_c = pows @ gb
+                    # |t1^deg1| stands for |t1|^deg1, which a Python float power could overflow
+                    if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum * max(1.0, abs(pows[-1])):
+                        vanished(t1)
+                    else:
+                        slices.append((head, slice_c))
+                staged.append((k, state, slices))
             except errors as exc:
                 out[k] = exc
 
@@ -449,7 +444,7 @@ def _fibers(f, ws):
     raised for that point alone.
     """
     _check_curve(f)
-    solved = _staged(ws, functools.partial(_eliminate, f), _backsub_slices,
+    solved = _staged(ws, functools.partial(_eliminate, f), _pick, _vanished,
                      _solutions, (DegenerateFiber, NoConvergence))
     return (([], []) if out is None else out for out in solved)
 

@@ -26,7 +26,7 @@ from .errors import Overflow, ZeroCoordinate
 MAX_DEGREE = 10**6
 
 # a sum within this fraction of its larger summand is cancellation residue,
-# dropped by _collect and _collect_dense; fiber_restrict drops torus moduli below it
+# dropped by _collect; fiber_restrict drops torus moduli below it
 PRUNE_REL = 1e-14
 
 
@@ -105,19 +105,6 @@ def _collect(out, pairs):
         else:
             out[a] = c
     return out
-
-
-def _collect_dense(a, b):
-    """a + b on arrays, as ``_collect`` adds the terms b into a dict of the terms a.
-
-    0j + a takes a signed zero to +0, as a first sum into a dict does;
-    np.hypot is Python's complex abs bit for bit.
-    """
-    a = 0j + a
-    c = a + b
-    c[np.hypot(c.real, c.imag) <= PRUNE_REL * np.maximum(np.hypot(a.real, a.imag),
-                                                         np.hypot(b.real, b.imag))] = 0
-    return c
 
 
 def _dense(pairs, nvars):

@@ -59,29 +59,27 @@ def _horner(c, x):
     return r
 
 
-class UniPoly:
-    """Dense univariate polynomial, coefficients ascending by degree.
+def _trim(coeffs):
+    """The ascending complex row of ``coeffs`` without the leading entries of modulus at
+    most TRIM_REL times the largest, so the kept leading one is meaningful; a zero row
+    keeps one entry."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("need a nonempty 1-d coefficient array")
+    cap = float(np.max(np.abs(c)))
+    keep = c.size
+    while keep > 1 and abs(c[keep - 1]) <= TRIM_REL * cap:
+        keep -= 1
+    return c[:keep]
 
-    Construction trims leading coefficients whose modulus is at most
-    1e-13 times the largest coefficient modulus, so the stored leading
-    coefficient is always meaningful.
-    """
+
+class UniPoly:
+    """Dense univariate polynomial, coefficients ascending by degree, trimmed by ``_trim``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("need a nonempty 1-d coefficient array")
-        cap = float(np.max(np.abs(c)))
-        if cap == 0.0:
-            c = c[:1]
-        else:
-            keep = c.size
-            while keep > 1 and abs(c[keep - 1]) <= TRIM_REL * cap:
-                keep -= 1
-            c = c[:keep]
-        self.coeffs = c.copy()
+        self.coeffs = _trim(coeffs).copy()
 
     @property
     def degree(self):
@@ -338,10 +336,8 @@ def _roots_batch(polys):
     out = []
     by_degree = {}  # trimmed degree -> [(input index, coefficients)]
     for k, p in enumerate(polys):
-        if not isinstance(p, UniPoly):
-            p = UniPoly(p)
-        c = p.coeffs
-        if p.degree == 0:
+        c = p.coeffs if isinstance(p, UniPoly) else _trim(p)
+        if c.size == 1:
             if c[0] == 0:
                 raise ValueError("zero polynomial has no finite root set")
             out.append([])

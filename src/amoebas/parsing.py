@@ -142,7 +142,11 @@ class _Parser:
             if t is None or t.kind != "star":
                 return acc
             self.take()
-            acc = self.product(acc, self.factor())
+            q = self.factor()
+            # a constant multiplies straight in, so the first sum (and its Overflow) is on the
+            # exponents that the term ends up with
+            acc = ({a: b * q[self.unit] for a, b in acc.items()} if q.keys() == {self.unit}
+                   else self.product(acc, q))
 
     def factor(self):
         t = self.peek()

@@ -1,21 +1,28 @@
 """One SHA-256 per benchmark workload and seed over every output byte.
 
-    PYTHONPATH=src python tests/output_digest.py
+    PYTHONPATH=src python tests/output_digest.py [--against REV]
 
 For both workloads of ``bench/run.py`` and seeds 0-7 it hashes each
 benchmark command's exit code, stdout and output files, run in process
 through ``amoebas.cli.main``, and each answer of the warm query stream,
 with every phase and score written by ``float.hex``.  A change meant to
-keep every bit prints the same 16 lines as its parent: copy this file
-into a checkout of the parent, run it in both, and compare.  The
+keep every bit prints the same 16 lines as its parent.  With
+``--against REV`` the script also unpacks ``git archive REV`` into a
+temporary folder, runs itself there, prints every line of REV's output
+that differs from this checkout's, and exits 1 on any mismatch.  The
 digests cover the program in the checkout that holds this file (its
 ``bench/run.py`` puts that checkout's ``src`` first on the path).
 """
 
+import argparse
 import hashlib
 import importlib.util
+import itertools
 import json
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -65,12 +72,36 @@ def digest(run, ref, workload, seed):
 
 
 def main():
-    run = load_bench()
-    ref = run.load_reference()
-    for workload in run.WORKLOADS:
-        for seed in range(8):
-            print(workload, seed, digest(run, ref, workload, seed), flush=True)
+    parser = argparse.ArgumentParser(description="Digest every output byte of the benchmark.")
+    parser.add_argument("--against", metavar="REV",
+                        help="also digest git revision REV and report the lines that differ")
+    args = parser.parse_args()
+    theirs = None
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.against:
+            tree = Path(tmp)
+            archive = subprocess.run(["git", "archive", args.against], cwd=BENCH.parent,
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            # REV's checkout may predate this script; it digests REV's program all the same
+            shutil.copy(__file__, tree / "tests" / "output_digest.py")
+            theirs = subprocess.Popen([sys.executable, "tests/output_digest.py"], cwd=tree,
+                                      stdout=subprocess.PIPE, text=True)
+        run = load_bench()
+        ref = run.load_reference()
+        mine = []
+        for workload in run.WORKLOADS:
+            for seed in range(8):
+                mine.append(f"{workload} {seed} {digest(run, ref, workload, seed)}")
+                print(mine[-1], flush=True)
+        if theirs is None:
+            return 0
+        other = theirs.communicate()[0].splitlines()
+    bad = [(a, b) for a, b in itertools.zip_longest(other, mine) if a != b]
+    for a, b in bad:
+        print(f"differs: {args.against}: {a}  here: {b}")
+    return 1 if bad or theirs.returncode else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

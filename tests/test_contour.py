@@ -12,6 +12,7 @@ from amoebas import (
     AmoebaError,
     DegenerateSlice,
     LaurentPoly,
+    Overflow,
     classify,
     classify_contour,
     contour_slice,
@@ -22,6 +23,7 @@ import amoebas.contour
 import amoebas.fiber
 from amoebas.contour import ContourPoint, SkippedSlices, _polish_pair
 from amoebas.fiber import _abs_at, _eval_bi
+from amoebas.laurent import PRUNE_REL, _dense
 
 CUBIC = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
 HARNACK = parse_poly("z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1", 2)
@@ -46,7 +48,7 @@ def test_gauss_slices_weigh_each_term_by_its_exponent(monkeypatch):
 
     def recorded(curve, theta):
         out = real(curve, theta)
-        slices.append(out[0][1])
+        slices.append(out[0][2])
         return out
 
     monkeypatch.setattr(amoebas.contour, "_eliminate", recorded)
@@ -64,6 +66,61 @@ def test_gauss_slices_weigh_each_term_by_its_exponent(monkeypatch):
     assert len(slices) == 2
     assert np.array_equal(slices[0], minus_g1)
     assert np.array_equal(slices[1], g2)
+
+
+def reference_gauss_combination(f, theta):
+    """Reference: the Gauss combination as built before ``_collect`` summed it.
+
+    Both Gauss numerators z_j df/dz_j laid out densely on f's grid, added
+    and pruned cell by cell as ``_collect`` adds two terms (0j + a takes a
+    signed zero to +0; np.hypot is Python's complex abs), and cut to the
+    bounding box of the nonzero cells; None when no cell is left.
+    """
+    items = f.terms.items()
+    lg1, lg2 = (_dense(((a, b * a[j]) for a, b in items), 2) for j in (0, 1))
+    st, ct = (0.0 if abs(v) < 1e-15 else v for v in (math.sin(theta), math.cos(theta)))
+    a, b = 0j + st * lg2, -(ct * lg1)
+    c = a + b
+    c[np.hypot(c.real, c.imag) <= PRUNE_REL * np.maximum(np.hypot(a.real, a.imag),
+                                                         np.hypot(b.real, b.imag))] = 0
+    i, j = np.nonzero(c)
+    return c[i.min():i.max() + 1, j.min():j.max() + 1] if i.size else None
+
+
+def test_gauss_combination_matches_the_dense_reference_bit_for_bit(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # the resultant is not needed to read the combination off the slice state
+    monkeypatch.setattr(amoebas.contour, "sylvester_resultant", lambda g, h: None)
+    exponent = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    coef = st.builds(lambda re, im, e: complex(re, im) * 10.0**e,
+                     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(-8, 8))
+    # at atan2(1, 2), where 2 sin == cos in floats, a (1, 2) term cancels
+    # exactly; at pi/4 a (k, k) term leaves a rounding residue to prune; at
+    # 0 and pi/2 the terms on an axis vanish
+    angle = (st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.atan2(1, 2)])
+             | st.floats(0.0, 2.0 * math.pi))
+
+    def bits(arr):
+        return arr.shape, [(v.real.hex(), v.imag.hex()) for v in arr.ravel().tolist()]
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(st.dictionaries(exponent, coef, max_size=6), coef,
+                      st.integers(-3, 3), coef, angle)
+    def check(terms, b12, k, bkk, theta):
+        terms[(1, 2)], terms[(k, k)] = b12, bkk
+        f = LaurentPoly(2, terms)
+        gb = _dense(f.terms.items(), 2)
+        want = reference_gauss_combination(f, theta)
+        try:
+            (_, _, hb, _), _ = amoebas.contour._eliminate(
+                (gb, float(np.abs(gb).sum()), f.terms.items()), theta)
+        except DegenerateSlice:
+            assert want is None
+        else:
+            assert bits(hb) == bits(want), (terms, theta)
+
+    check()
 
 
 def test_linear_slice_hand_solution():
@@ -162,6 +219,13 @@ def test_slice_sharing_a_component_with_the_variety_raises():
     f = parse_poly("(z1*z2 - 1)*(z1 + z2 + 3)", 2)
     with pytest.raises(DegenerateSlice, match="shares a component with the variety"):
         contour_slice(f, math.pi / 4.0)
+
+
+def test_overflowing_gauss_combination_names_its_exponent():
+    # 1e308 * 2 is past the largest float: the z2^2 term of z2 df/dz2
+    f = parse_poly("1e308*z2^2 + z1 + 1", 2)
+    with pytest.raises(Overflow, match=r"exponent \(0, 2\) overflows"):
+        contour_slice(f, 0.3)
 
 
 def evaluations(gb, hb, z1, z2):

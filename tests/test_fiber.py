@@ -1,6 +1,7 @@
 """Fiber-torus membership, classification, order, and lopsidedness."""
 
 import cmath
+import functools
 import math
 import random
 
@@ -357,20 +358,38 @@ def test_vanished_slice_off_the_torus_is_skipped(w):
     ("(z1 - 1e4)*(1 + z2)", 1e4 + 1e-7, True),
     ("(z1 - 1e4)*(1 + z2)", -1.0, False),
 ])
-def test_slice_vanishes_at_a_factor_root_only(text, t1, vanished):
+def test_slice_vanishes_at_a_factor_root_only(monkeypatch, text, t1, vanished):
+    # one item through _staged, whose pick hands on t1 alone; the root
+    # finder's second batch holds the slices that did not vanish
     gb = _dense(parse_poly(text, 2).terms.items(), 2)
-    got = amoebas.fiber._slice(gb, float(np.abs(gb).sum()), t1)
-    assert (got is None) == vanished
+    batches, gone = [], []
+    real = amoebas.fiber._roots_batch
+    monkeypatch.setattr(amoebas.fiber, "_roots_batch",
+                        lambda polys: batches.append(polys) or real(polys))
+    found = next(amoebas.fiber._staged(
+        [None], lambda _: ((gb, float(np.abs(gb).sum())), [1.0]),
+        lambda state, _: (state, [("head", t1)]), gone.append, lambda _, found: found, ()))
+    assert gone == ([t1] if vanished else [])
+    assert [head for head, _ in found] == ([] if vanished else ["head"])
     if not vanished:
+        (got,) = batches[1]
         np.testing.assert_array_equal(got, (t1 ** np.arange(gb.shape[0])) @ gb)
+
+
+def staged_fiber(f, w, clusters):
+    """One fiber through ``_staged`` with ``clusters`` as its resultant root clusters:
+    the (head, roots) pair of each slice that did not vanish, or the DegenerateFiber."""
+    return next(amoebas.fiber._staged(
+        [w], functools.partial(amoebas.fiber._eliminate, f),
+        lambda state, _: amoebas.fiber._pick(state, clusters), amoebas.fiber._vanished,
+        lambda _, found: found, (DegenerateFiber,)))
 
 
 def test_vanished_slice_on_the_unit_circle_is_a_full_circle():
     # an exact resultant cluster at t1 = 1 over w1 = 0: g vanishes on the
     # line t1 = 1, which lies on the torus
-    state, _ = amoebas.fiber._eliminate(parse_poly(LINE_TIMES_LINE, 2), (0.0, 0.3))
-    with pytest.raises(DegenerateFiber):
-        amoebas.fiber._backsub_slices(state, [RootCluster(1.0, 2, 0.0)])
+    out = staged_fiber(parse_poly(LINE_TIMES_LINE, 2), (0.0, 0.3), [RootCluster(1.0, 2, 0.0)])
+    assert isinstance(out, DegenerateFiber)
 
 
 def test_vanished_slices_of_a_root_pair_off_the_circle_are_skipped():
@@ -378,9 +397,8 @@ def test_vanished_slices_of_a_root_pair_off_the_circle_are_skipped():
     # the unit band: g and its mirror vanish on both lines, neither of
     # which meets the torus, and the line factor keeps its two points
     f = parse_poly("(z1^2 - 2.0000990099009901*z1 + 1)*(1 + z1 + z2)", 2)
-    state, _ = amoebas.fiber._eliminate(f, (0.0, 0.0))
     pair = [RootCluster(1.01, 2, 0.0), RootCluster(1.0 / 1.01, 2, 0.0)]
-    assert amoebas.fiber._backsub_slices(state, pair)[1] == []
+    assert staged_fiber(f, (0.0, 0.0), pair) == []
     line = fiber_solutions(parse_poly("1 + z1 + z2", 2), (0.0, 0.0))
     sols = fiber_solutions(f, (0.0, 0.0))
     assert len(sols) == len(line) == 2

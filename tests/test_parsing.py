@@ -47,10 +47,11 @@ def test_exponent_ceiling_applies_to_the_expanded_result():
 
 @pytest.mark.parametrize("text, alpha", [
     ("1e999*z1 + 1", (1, 0)),  # the literal overflows
-    ("1e200*1e200*z1 + 1", (0, 0)),  # the product of two constants overflows
+    ("1e200*1e200*z1 + 1", (1, 0)),  # the product of two constants overflows on z1
     ("1e999 - 1e999 + z1", (0, 0)),  # inf - inf would be nan
     ("1e308*z1 + 1e308*z1 + 1", (1, 0)),  # the sum of like terms overflows
     ("1.5e308*z1 + 1.5e308*i*z1 + 1", (1, 0)),  # finite parts, but the modulus overflows
+    ("1e200*1e200 + z1", (0, 0)),  # the constant product is the constant term
 ])
 def test_non_finite_coefficient_is_rejected_not_dropped(text, alpha):
     with pytest.raises(Overflow, match=f"exponent {re.escape(str(alpha))} overflows"):
