@@ -34,13 +34,6 @@ from .laurent import (
     newton_polytope,
 )
 from .parsing import format_poly, parse_poly
-from .numeric import (
-    RootCluster,
-    UniPoly,
-    roots,
-    solve_linear,
-    sylvester_resultant,
-)
 from .fiber import (
     FiberSolution,
     PointClass,
@@ -73,8 +66,6 @@ __all__ = [
     "evaluate", "fiber_restrict",
     "newton_polytope",
     "format_poly", "parse_poly",
-    "RootCluster", "UniPoly", "roots",
-    "solve_linear", "sylvester_resultant",
     "FiberSolution", "PointClass", "classify", "fiber_solutions",
     "lopsided", "order",
     "ContourPoint", "classify_contour", "contour_slice", "trace_contour",

@@ -13,6 +13,7 @@ from contour and boundary points.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 
@@ -222,18 +223,12 @@ def _merge_near_unit(clusters):
     the unit circle, where a scattered multiplet would otherwise be
     filtered away or double counted, clusters get merged back together;
     the multiplicity-weighted mean of a noise ring reproduces the true
-    root to second order.
+    root to second order.  Only the clusters within 0.05 of |t| = 1 can
+    reach UNIT_BAND, and only they come back, as [center, multiplicity].
     """
-    items = []
-    out = []
-    for cl in clusters:
-        if abs(abs(cl.center) - 1.0) <= 0.05:
-            items.append([cl.center, cl.multiplicity])
-        else:
-            out.append((cl.center, cl.multiplicity))
-    changed = True
-    while changed:
-        changed = False
+    items = [[cl.center, cl.multiplicity] for cl in clusters
+             if abs(abs(cl.center) - 1.0) <= 0.05]
+    while True:  # until a pass merges nothing
         merged = []
         for c, m in items:
             for slot in merged:
@@ -241,15 +236,15 @@ def _merge_near_unit(clusters):
                     tot = slot[1] + m
                     slot[0] = (slot[0] * slot[1] + c * m) / tot
                     slot[1] = tot
-                    changed = True
                     break
             else:
                 merged.append([c, m])
+        if len(merged) == len(items):
+            return merged
         items = merged
-    return [(c, m) for c, m in items] + out
 
 
-def _eliminate(f, w):
+def _eliminate(f, w, columns=False):
     """Restriction, lopsided shortcut and resultant of the fiber over w.
 
     Returns None when the fiber has no torus point before the t1 stage,
@@ -261,7 +256,10 @@ def _eliminate(f, w):
     |t| = 1, or a pair r, 1/conj(r) of one argument.  Only then are the
     roots of g found, and they tell the two apart: a full circle
     (DegenerateFiber) needs one within UNIT_ROOT_TOL of |t| = 1; pairs
-    alone leave no torus point (None).
+    alone leave no torus point (None).  With ``columns``, ``_vanished``
+    first sees each root c of g's lowest-degree t2-coefficient column where
+    ``_slice`` vanishes: a factor t1 - c of g makes c a root of every column,
+    and the resultant misses c when its multiple root there is off by 1e-10.
     """
     gb, _ = fiber_restrict(f, w)
     if gb.shape[1] == 1:
@@ -272,6 +270,11 @@ def _eliminate(f, w):
     # torus zeros outright, no resultant needed
     if 2.0 * float(mods.max()) > coeff_sum * (1.0 + 1e-9):
         return None
+    if columns:
+        low = min((col for col in gb.T if col.any()), key=lambda col: np.flatnonzero(col)[-1])
+        for cl in _converged(_roots_batch([low])[0]):
+            if _slice(gb, coeff_sum, cl.center) is None:
+                _vanished(cl.center)
     try:
         res = sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
     except IdenticallyZero as exc:
@@ -291,7 +294,7 @@ def _pick(state, found):
     """
     clusters = _merge_near_unit(found)
     return (*state, clusters), [((ci, t1), t1) for ci, (t1, _) in enumerate(clusters)
-                                if abs(abs(t1) - 1.0) <= UNIT_BAND]  # drops non-finite t1
+                                if abs(abs(t1) - 1.0) <= UNIT_BAND]
 
 
 def _vanished(t1):
@@ -360,6 +363,16 @@ def _solutions(state, found):
     return sols, gauss
 
 
+def _slice(gb, coeff_sum, t1):
+    """The slice g(t1, .) in t2, or None when it vanished (g has the factor t1 - c): its largest
+    coefficient is below 1e-13 of coeff_sum * max(1, |t1|)^deg1, every coefficient's bound."""
+    pows = t1 ** _exponents(gb.shape[0])
+    slice_c = pows @ gb
+    # |t1^deg1| stands for |t1|^deg1, which a Python float power could overflow
+    if not np.max(np.abs(slice_c)) < 1e-13 * coeff_sum * max(1.0, abs(pows[-1])):
+        return slice_c
+
+
 def _staged(items, eliminate, pick, vanished, finish, errors):
     """Solve many zero-dimensional systems in stages that batch the root finder.
 
@@ -370,10 +383,8 @@ def _staged(items, eliminate, pick, vanished, finish, errors):
     polynomials; ``pick(state, roots)`` per item, giving (state, a list of
     (head, t1) pairs); the slice g(t1, .) in t2 per pair; one batched root
     finder over all slices; ``finish(state, [(head, roots), ...])`` per
-    item.  A slice has vanished (g has the t2-free factor t1 - c) when its
-    largest coefficient is below 1e-13 of coeff_sum * max(1, |t1|)^deg1,
-    the bound on every slice coefficient; ``vanished(t1)`` then raises, or
-    returns to drop the pair.  Every root set passes ``_converged`` before
+    item.  When ``_slice`` finds a slice vanished, ``vanished(t1)`` raises,
+    or returns to drop the pair.  Every root set passes ``_converged`` before
     a stage reads it.  Yields one entry per item, in order: the result of
     ``finish``, None, or the exception of one of the ``errors`` types
     raised for that item alone.
@@ -399,10 +410,8 @@ def _staged(items, eliminate, pick, vanished, finish, errors):
                 gb, coeff_sum = state[:2]
                 slices = []
                 for head, t1 in picked:
-                    pows = t1 ** _exponents(gb.shape[0])
-                    slice_c = pows @ gb
-                    # |t1^deg1| stands for |t1|^deg1, which a Python float power could overflow
-                    if np.max(np.abs(slice_c)) < 1e-13 * coeff_sum * max(1.0, abs(pows[-1])):
+                    slice_c = _slice(gb, coeff_sum, t1)
+                    if slice_c is None:
                         vanished(t1)
                     else:
                         slices.append((head, slice_c))
@@ -438,13 +447,15 @@ def _fibers(f, ws):
     the back-substitution slices per point; polishing and grouping per
     candidate.  A fiber is DegenerateFiber when the resultant vanishes
     identically (for a univariate restriction, with a root of it within
-    UNIT_ROOT_TOL of |t| = 1), or when a vanished slice has its t1 there.
-    Returns an iterator with one entry per point: (solutions,
-    gauss_pairs) sorted by phi, or the DegenerateFiber or NoConvergence
-    raised for that point alone.
+    UNIT_ROOT_TOL of |t| = 1), or when a vanished slice has its t1 there (a
+    resultant root, or a column root as ``_eliminate`` says).  Returns an
+    iterator with one entry per point: (solutions, gauss_pairs) sorted by
+    phi, or the DegenerateFiber or NoConvergence raised for that point alone.
     """
     _check_curve(f)
-    solved = _staged(ws, functools.partial(_eliminate, f), _pick, _vanished,
+    # a support column of one term b z1^i z2^j has no root c != 0, so no t2-free factor
+    columns = min(collections.Counter(alpha[1] for alpha in f.terms).values()) > 1
+    solved = _staged(ws, functools.partial(_eliminate, f, columns=columns), _pick, _vanished,
                      _solutions, (DegenerateFiber, NoConvergence))
     return (([], []) if out is None else out for out in solved)
 

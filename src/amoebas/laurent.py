@@ -62,16 +62,6 @@ class LaurentPoly:
         self.nvars = nvars
         self.terms = clean
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
     def __repr__(self):
         items = ", ".join(f"{a}: {b}" for a, b in sorted(self.terms.items()))
         return f"LaurentPoly({self.nvars}, {{{items}}})"

@@ -220,70 +220,53 @@ def amoeba_basis(a):
 # --------------------------------------------------------------------------
 
 _VERIFY_SEED = 8675309
-_TAGS = ("Complement", "Boundary", "Interior")
-_COMPLEMENT, _BOUNDARY, _INTERIOR = range(3)
 
 # samples drawn and tagged at a time by verify_basis, which bounds its
 # memory; the seeded stream, and so every verdict, does not depend on it
 _SAMPLE_BLOCK = 65536
 
 
-def _linear_tags(g, W):
-    """Tag codes (indices into _TAGS) of linear_classify(g, w) for each row w of W.
+def _outside(g, W):
+    """Whether linear_classify(g, w) answers Complement, for each row w of W.
 
     One array pass computes the dominance gaps v_j - rest_j of every row.
     numpy's log, exp and sum may differ from the math.log, math.exp and
     math.fsum of linear_classify in the last bits, so a row is decided here
-    only when every gap and its modulus are more than 1e-12 away from the
-    1e-9 band edge; the rows left over go to linear_classify itself, which
-    stays the one definition of a verdict.
+    only when every gap is more than 1e-12 away from the +1e-9 Complement
+    edge; the rows left over go to linear_classify itself, which stays the
+    one definition of a verdict.
     """
     logb = [math.log(abs(bj)) if bj != 0 else -math.inf for bj in _linear_parts(g)]
     logr = np.zeros((W.shape[0], W.shape[1] + 1))
     logr[:, 1:] = W + logb
     vals = np.exp(logr - logr.max(axis=1, keepdims=True))
     gap = vals - (vals.sum(axis=1, keepdims=True) - vals)  # v_j - rest_j
-    tags = np.where(
-        (gap > _EQUALITY_TOL).any(axis=1),
-        _COMPLEMENT,
-        np.where((np.abs(gap) <= _EQUALITY_TOL).any(axis=1), _BOUNDARY, _INTERIOR),
-    )
-    unsure = ~(np.abs(np.abs(gap) - _EQUALITY_TOL) > 1e-12).all(axis=1)
-    for r in np.flatnonzero(unsure):
-        tags[r] = _TAGS.index(linear_classify(g, W[r].tolist())[0])
-    return tags
+    out = (gap > _EQUALITY_TOL).any(axis=1)
+    for r in np.flatnonzero(~(np.abs(gap - _EQUALITY_TOL) > 1e-12).all(axis=1)):
+        out[r] = linear_classify(g, W[r].tolist())[0] == "Complement"
+    return out
 
 
 def _walk_witness(basis, i):
     """A point off Log|v| inside every amoeba except the i-th, or None.
 
     Walks from Log|v| along the direction that increases the i-th
-    dominance gap and decreases all the others.
+    dominance gap and decreases all the others, and returns the first of
+    five steps outside the i-th amoeba alone.
     """
-    n = len(basis.witness)
     w_star = list(basis.log_point)
-    rows = []
-    target = []
-    for k, g in enumerate(basis.polys):
-        vals = _term_moduli(g, w_star)
-        # gradient of gap_k wrt w: +r_j on the dominant slot k, -r_j elsewhere
-        rows.append([vals[j] if j == k else -vals[j] for j in range(1, n + 1)])
-        target.append(1.0 if k == i else -1.0)
+    # gradient of gap_k wrt w: +r_j on the dominant slot k, -r_j elsewhere
+    rows = [[r if j == k else -r for j, r in enumerate(_term_moduli(g, w_star)[1:], 1)]
+            for k, g in enumerate(basis.polys)]
+    target = [1.0 if k == i else -1.0 for k in range(len(basis.polys))]
     sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(target), rcond=None)
     norm = float(np.linalg.norm(sol))
     if norm == 0.0:
         return None
-    d = sol / norm
-    g_i = basis.polys[i]
-    for eps in (1e-3, 1e-2, 1e-1, 0.3, 1.0):
-        w = tuple(w_star[j] + eps * float(d[j]) for j in range(n))
-        if linear_classify(g_i, w)[0] == "Complement" and all(
-            linear_classify(g, w)[0] != "Complement"
-            for k, g in enumerate(basis.polys)
-            if k != i
-        ):
-            return w
-    return None
+    W = np.asarray(w_star) + np.outer((1e-3, 1e-2, 1e-1, 0.3, 1.0), sol / norm)
+    outside = np.stack([_outside(g, W) for g in basis.polys], axis=1)
+    lone = outside[:, i] & (outside.sum(axis=1) == 1)
+    return tuple(W[lone.argmax()].tolist()) if lone.any() else None
 
 
 def verify_basis(basis, samples=10000, box=2.0):
@@ -305,14 +288,15 @@ def verify_basis(basis, samples=10000, box=2.0):
     span a rank-n space, which for linear ideals means the members
     generate the same ideal as the original system.
 
-    The samples are drawn and tagged in blocks of _SAMPLE_BLOCK rows, one
-    array pass per member and block (_linear_tags), which hands the rows
-    within 1e-12 of the 1e-9 equality band to linear_classify, so every
-    verdict is the one linear_classify gives.  Returns a BasisReport on
-    success and raises AxiomFailure otherwise, with the first failing
-    sample in draw order as its witness.  The sample stream is seeded, so
-    the verdict is deterministic.  Raises ValueError for a negative
-    ``samples``, and unless ``box`` is positive with 2 * box a finite float.
+    The samples are drawn and tested in blocks of _SAMPLE_BLOCK rows, one
+    array pass per member and block (``_outside``), which hands the rows
+    with a gap within 1e-12 of the +1e-9 Complement edge to
+    linear_classify, so every verdict is the one linear_classify gives.
+    Returns a BasisReport on success and raises AxiomFailure otherwise,
+    with the first failing sample in draw order as its witness.  The
+    sample stream is seeded, so the verdict is deterministic.  Raises
+    ValueError for a negative ``samples``, and unless ``box`` is positive
+    with 2 * box a finite float.
     """
     samples = int(samples)
     if not (box > 0 and math.isfinite(2.0 * box)) or samples < 0:
@@ -335,7 +319,7 @@ def verify_basis(basis, samples=10000, box=2.0):
     for lo in range(0, samples, _SAMPLE_BLOCK):
         draws = rng.uniform(-box, box, size=(min(_SAMPLE_BLOCK, samples - lo), n))
         W = np.asarray(w_star) + draws
-        outside = np.stack([_linear_tags(g, W) for g in basis.polys], axis=1) == _COMPLEMENT
+        outside = np.stack([_outside(g, W) for g in basis.polys], axis=1)
         escaped = outside.any(axis=1)
         stuck = np.flatnonzero(~escaped & (np.abs(draws).max(axis=1) > 1e-9))
         if stuck.size:

@@ -85,10 +85,6 @@ class UniPoly:
     def degree(self):
         return self.coeffs.size - 1
 
-    def __call__(self, x):
-        out = _horner(self.coeffs, x)
-        return complex(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
     def __repr__(self):
         return f"UniPoly({np.array2string(self.coeffs, separator=', ')})"
 
@@ -395,7 +391,7 @@ def roots(p):
 # --------------------------------------------------------------------------
 
 def solve_linear(a, b):
-    """Solve a x = b, rejecting near-singular systems.
+    """Solve a x = b for a vector b, rejecting near-singular systems.
 
     One LU factorization with partial pivoting, pivoting as LAPACK's
     ``zgetrf`` does: the first row with the largest ``|re| + |im|`` in the
@@ -408,7 +404,7 @@ def solve_linear(a, b):
     SingularMatrix
         If some LU pivot has modulus below 1e-12 times the matrix scale.
     ValueError
-        If a is not square, b does not match it, or either holds an
+        If a is not square, b is not a vector of its size, or either holds an
         inf or a NaN.
     """
     lu = np.array(a, dtype=complex)
@@ -416,7 +412,7 @@ def solve_linear(a, b):
     if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
         raise ValueError("need a square matrix")
     n = lu.shape[0]
-    if x.ndim not in (1, 2) or x.shape[0] != n:
+    if x.shape != (n,):
         raise ValueError("right-hand side does not match the matrix")
     if not (np.isfinite(lu).all() and np.isfinite(x).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -436,10 +432,10 @@ def solve_linear(a, b):
     if np.any(pivots < 1e-12 * scale):
         raise SingularMatrix(f"pivot {pivots.min():.3e} below 1e-12 x scale {scale:.3e}")
     for k in range(n):
-        x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
+        x[k + 1:] -= lu[k + 1:, k] * x[k]
     for k in range(n - 1, -1, -1):
         x[k] /= lu[k, k]
-        x[:k] -= np.multiply.outer(lu[:k, k], x[k])
+        x[:k] -= lu[:k, k] * x[k]
     return x
 
 

@@ -237,7 +237,7 @@ def _fmt_monomial(alpha):
 
 
 def format_poly(f):
-    """Render f so that parse_poly(format_poly(f), f.nvars) == f exactly.
+    """Render f so that parse_poly(format_poly(f), f.nvars) has f's terms exactly.
 
     Terms are ordered by total degree, then variable order; coefficients
     print in shortest round-trip form (``2*z1^2``, ``1.5*i*z2``,

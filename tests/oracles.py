@@ -79,14 +79,12 @@ def eval_at_phases(terms, w, phi):
     return complex(e.sum())
 
 
-def linear_tag(terms, w):
-    """Tag of w against the amoeba of a linear polynomial c0 + sum c_j z_j.
+def linear_moduli(terms, w):
+    """Term moduli of a linear polynomial c0 + sum c_j z_j at w, and their sum.
 
-    The exact rule in scalar arithmetic: with b_j = c_j / c0, term moduli
-    r_0 = 1 and r_j = |b_j| e^(w_j), scaled by their maximum, w is
-    Complement when some r_j exceeds the sum of the others by more than
-    1e-9, Boundary when some r_j is within 1e-9 of that sum, and Interior
-    otherwise.
+    In scalar arithmetic: with b_j = c_j / c0, term moduli r_0 = 1 and
+    r_j = |b_j| e^(w_j), scaled by their maximum, constant term first;
+    the sum is math.fsum's.
     """
     terms = list(terms)
     const = next(c for a, c in terms if not any(a))
@@ -97,7 +95,18 @@ def linear_tag(terms, w):
     logr = [math.log(abs(bj)) + wj if bj != 0 else -math.inf for bj, wj in zip(b, w)]
     cap = max(0.0, max(logr))
     vals = [math.exp(-cap)] + [math.exp(lr - cap) for lr in logr]
-    total = math.fsum(vals)
+    return vals, math.fsum(vals)
+
+
+def linear_tag(terms, w):
+    """Tag of w against the amoeba of a linear polynomial c0 + sum c_j z_j.
+
+    The exact rule on the moduli of ``linear_moduli``: w is Complement
+    when some r_j exceeds the sum of the others by more than 1e-9,
+    Boundary when some r_j is within 1e-9 of that sum, and Interior
+    otherwise.
+    """
+    vals, total = linear_moduli(terms, w)
     if any(v > (total - v) + 1e-9 for v in vals):
         return "Complement"
     if any(abs(v - (total - v)) <= 1e-9 for v in vals):

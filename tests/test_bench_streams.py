@@ -5,29 +5,19 @@ reference (tags and integers exactly, other numbers within 1e-6) and
 every verdict against the lopsided certificate.  Both workloads' streams
 run here for seeds 0-7, so a change that moves an answer, a fiber phase
 included, fails before a benchmark run does.  Only the in-process query
-streams run: the benchmark's CLI commands need the work folder that its
-``main`` makes.
+streams run; ``tests/output_digest.py`` runs the benchmark's CLI commands.
+``bench/run.py`` comes through that script's loader, ``load_bench``.
 """
-
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from output_digest import load_bench
 
 
 @pytest.fixture(scope="module")
 def bench():
     """bench/run.py as a module, with the reference outputs it checks against."""
-    sys.path.insert(0, str(BENCH))  # run.py imports its sibling modules
-    try:
-        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
-        run = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
-    finally:
-        sys.path.remove(str(BENCH))
+    run = load_bench()
     return run, run.load_reference()
 
 

@@ -127,6 +127,28 @@ def test_bad_point_is_exit_2(capsys):
     assert "bad point" in err
 
 
+def test_classify_complement_without_a_stable_order_prints_null(capsys, monkeypatch):
+    def order(f, w):
+        raise errors.InconsistentOrder("winding counts disagree")
+
+    monkeypatch.setattr(cli, "order", order)
+    code, out, _ = run(capsys, "classify", "--poly", CUBIC13, "--point", "0,0")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["tag"], obj["order"]) == ("Complement", None)
+
+
+def test_skipped_contour_slices_are_noted_on_stderr(capsys):
+    # the contour eliminates with the coefficients as they stand, so on this
+    # huge coefficient range 10 of the 12 slices share a component with the
+    # variety; the run still succeeds and says so once
+    code, out, err = run(capsys, "contour", "--poly", "1 + z1 + 1e-15*z2", "--slices", "12")
+    assert code == 0
+    assert out.startswith("w1,w2,theta,class\n")
+    assert err.startswith("note: skipped 10 of 12 slices; first at theta=0.261799: ")
+    assert err.count("\n") == 1
+
+
 def test_degenerate_fiber_is_exit_3(capsys):
     code, _, err = run(capsys, "fiber", "--poly", "z1*z2 - 1", "--point", "0,0")
     assert code == 3
@@ -227,6 +249,13 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "the coefficient of exponent (1, 0) overflows"),
         (("classify", "--poly", "1e308*z1 + 1e308*z1 + 1", "--point", "0,0"), 3,
          "the coefficient of exponent (1, 0) overflows"),
+        (("classify", "--poly", CUBIC, "--point", "0,1", "--abs"), 2,
+         "--abs coordinates must be positive moduli"),
+        (("classify", "--poly", CUBIC, "--point", "-1,1", "--abs"), 2,
+         "--abs coordinates must be positive moduli"),
+        (("member", "--poly", CUBIC, "--point", ","), 2, "empty point"),
+        (("basis", "--linear", "1,2;3"), 2, "coefficient matrix must be square"),
+        (("basis", "--linear", "1,x;3,4"), 2, "bad matrix entry"),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
@@ -236,7 +265,8 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap",
          "res-above-cap", "empty-window", "malformed-res", "one-number-res",
          "short-window", "malformed-slices", "malformed-samples", "malformed-box",
-         "exponent-ceiling", "infinite-literal", "overflowing-sum"],
+         "exponent-ceiling", "infinite-literal", "overflowing-sum", "abs-zero",
+         "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
                                                   expected, says):
@@ -399,6 +429,18 @@ def test_betti_ppm_export(capsys, tmp_path):
     pixels = {tuple(body[k:k + 3]) for k in range(0, len(body), 3)}
     assert (255, 255, 255) in pixels  # complement cells
     assert len(pixels) > 1  # and some amoeba cells
+
+
+def test_betti_marks_a_degenerate_fiber_magenta(capsys, tmp_path):
+    # every fiber over w1 = 0 holds the circle z1 = 1; the other columns of
+    # the 3x3 grid are empty fibers
+    out = tmp_path / "m.ppm"
+    code, _, _ = run(capsys, "betti", "--poly", "z1 - 1", "--window", "-1,-1,1,1",
+                     "--res", "3,3", "--output", str(out))
+    assert code == 0
+    body = out.read_bytes()[len(b"P6\n3 3\n255\n"):]
+    rows = [[tuple(body[k:k + 3]) for k in range(r, r + 9, 3)] for r in range(0, 27, 9)]
+    assert rows == [[(255, 255, 255), (255, 0, 255), (255, 255, 255)]] * 3
 
 
 def test_ppm_reruns_are_byte_identical(capsys, tmp_path):

@@ -138,6 +138,41 @@ def test_linear_slice_hand_solution():
     assert p.s_param == pytest.approx(math.pi / 4.0)
 
 
+def polish_edited(monkeypatch, edit):
+    """Route every ``_polish_pair`` result of the contour through ``edit``."""
+    real = amoebas.contour._polish_pair
+    monkeypatch.setattr(amoebas.contour, "_polish_pair",
+                        lambda gb, hb, z1, z2: edit(*real(gb, hb, z1, z2)))
+
+
+@pytest.mark.parametrize("which", [0, 2])  # the g and the h evaluation
+@pytest.mark.parametrize("scale, kept", [(2.0, False), (0.5, True)])
+def test_a_polished_residual_above_the_rule_drops_the_candidate(monkeypatch, which, scale,
+                                                                 kept):
+    # 1 + z1 + z2 has one slice point at theta = pi/4; its residual is set
+    # to scale * RESIDUAL_REL times its term-modulus sum
+    def edit(z1, z2, evals):
+        evals = list(evals)
+        (_, d1, d2), sums = evals[which], evals[which + 1]
+        evals[which] = (scale * amoebas.fiber.RESIDUAL_REL * sums[0], d1, d2)
+        return z1, z2, tuple(evals)
+
+    polish_edited(monkeypatch, edit)
+    pts = contour_slice(parse_poly("1 + z1 + z2", 2), math.pi / 4.0)
+    assert [p.w for p in pts] == ([pytest.approx((math.log(0.5),) * 2)] if kept else [])
+
+
+@pytest.mark.parametrize("scale, kept", [(0.5, False), (2.0, True)])
+def test_a_coordinate_polished_below_the_torus_cutoff_drops_the_candidate(monkeypatch, scale,
+                                                                          kept):
+    # the slice point's z1 is moved to scale * TORUS_CUTOFF
+    cutoff = amoebas.contour.TORUS_CUTOFF
+    polish_edited(monkeypatch, lambda z1, z2, evals: (scale * cutoff * z1 / abs(z1), z2, evals))
+    pts = contour_slice(parse_poly("1 + z1 + z2", 2), math.pi / 4.0)
+    assert [p.w for p in pts] == ([pytest.approx((math.log(2.0 * cutoff), math.log(0.5)))]
+                                  if kept else [])
+
+
 def test_cubic_generic_slice_count_is_newton_volume():
     # the slice system of the cubic has 9 = normalized Newton volume
     # solutions in the torus for generic theta

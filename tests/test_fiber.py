@@ -27,13 +27,11 @@ from amoebas import (
     lopsided,
     order,
     parse_poly,
-    roots,
-    sylvester_resultant,
     trace_contour,
 )
 from amoebas.fiber import CRITICAL_TOL, UNIT_BAND, _eval_bi, _score
 from amoebas.laurent import _dense
-from amoebas.numeric import RootCluster
+from amoebas.numeric import RootCluster, roots, sylvester_resultant
 
 from oracles import brute_member, eval_at_phases, torus_min_modulus
 
@@ -187,8 +185,8 @@ def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
     calls = []
     original = amoebas.fiber._eliminate
 
-    def recorded(f, w):
-        calls.append(original(f, w))
+    def recorded(f, w, **kw):
+        calls.append(original(f, w, **kw))
         return calls[-1]
 
     monkeypatch.setattr(amoebas.fiber, "_eliminate", recorded)
@@ -404,6 +402,48 @@ def test_vanished_slices_of_a_root_pair_off_the_circle_are_skipped():
     assert len(sols) == len(line) == 2
     for s, t in zip(sols, line):
         assert angdist(s.phi[0], t.phi[0]) < 1e-9 and angdist(s.phi[1], t.phi[1]) < 1e-9
+
+
+@pytest.mark.parametrize("w2", [0.3, -0.7, 0.0])
+def test_a_t2_free_factor_with_a_unit_root_is_a_full_circle(w2):
+    # over w1 = 0 every fiber holds the circle z1 = 1; the resultant's double
+    # root there comes back only to about 1e-10, but t1 = 1 is a root of
+    # every t2-coefficient column of g, so the column check finds it
+    assert classify(parse_poly(LINE_TIMES_LINE, 2), (0.0, w2)).tag == "Degenerate"
+    assert classify(parse_poly("(z2 - 1)*(1 + z2 + z1)", 2), (w2, 0.0)).tag == "Degenerate"
+    with pytest.raises(DegenerateFiber):
+        fiber_solutions(parse_poly(LINE_TIMES_LINE, 2), (0.0, w2))
+    # the circle z1 = -1 of a product of two coordinate lines
+    assert classify(parse_poly("(1 + z1)*(1 + z2)", 2), (0.0, w2 + 0.5)).tag == "Degenerate"
+
+
+@pytest.mark.parametrize("w2", [0.3, -0.5, 0.0])
+def test_a_t2_free_factor_off_the_circle_keeps_the_isolated_points(w2):
+    # the column root t1 = 2 of (z1 - 2)(1 + z1 + z2) vanishes its slice but
+    # misses the torus over w1 = 0, which holds the line factor's two points
+    sols = fiber_solutions(parse_poly("(z1 - 2)*(1 + z1 + z2)", 2), (0.0, w2))
+    line = fiber_solutions(parse_poly("1 + z1 + z2", 2), (0.0, w2))
+    assert len(sols) == len(line) == 2
+    for s, t in zip(sols, line):
+        assert angdist(s.phi[0], t.phi[0]) < 1e-9 and angdist(s.phi[1], t.phi[1]) < 1e-9
+        assert (s.multiplicity, s.critical) == (t.multiplicity, t.critical)
+
+
+@pytest.mark.parametrize("text, checked", [
+    (LINE_TIMES_LINE, True),
+    ("(z1 - 2)*(1 + z1 + z2)", True),
+    # a column of one term (z2^3 alone) has no root off 0: no t2-free factor
+    ("z1^3 + z2^3 + z1*z2 + 1", False),
+    ("1 + z1 + z2", False),
+])
+def test_the_column_check_runs_only_for_curves_without_a_one_term_column(
+        monkeypatch, text, checked):
+    calls = []
+    real = amoebas.fiber._eliminate
+    monkeypatch.setattr(amoebas.fiber, "_eliminate",
+                        lambda f, w, columns: calls.append(columns) or real(f, w, columns))
+    list(amoebas.fiber._fibers(parse_poly(text, 2), [(0.3, 0.2), (-0.4, 0.1)]))
+    assert calls == [checked] * 2
 
 
 def test_unconverged_resultant_root_near_the_circle_raises(monkeypatch):

@@ -1,11 +1,13 @@
-"""Every import, module-level constant and private function in the package source is used.
+"""Every import, module-level constant and function in the package source is used.
 
 An imported name counts as used when the module refers to it, or lists it
 in ``__all__``.  An import line marked ``# noqa`` is exempt: it is kept
 for callers that look the name up in that module.  An ALL-CAPS constant
 counts as used when some module of the package reads it, and a
 module-level ``_function`` when some module of the package refers to it
-outside the function's own definition.
+outside the function's own definition.  A module-level public function
+or class counts as used when it is in ``amoebas.__all__`` or some module
+of the package refers to it outside its own definition.
 """
 
 import ast
@@ -94,17 +96,20 @@ def test_a_dead_constant_is_reported(tmp_path):
         "USED": 1, "DEAD": 0, "_PRIVATE_DEAD": 0}
 
 
-def private_function_references(paths):
+def function_references(paths, public=False):
     """Module-level _functions of paths -> (file, line, count of references).
 
-    A reference inside the function's own definition (recursion) does not count.
+    With ``public``, the module-level functions and classes without a
+    leading underscore instead.  A reference inside the definition itself
+    (recursion) does not count.
     """
     defined, refs = {}, Counter()
+    kinds = (ast.FunctionDef, ast.ClassDef) if public else ast.FunctionDef
     for path in paths:
         tree = ast.parse(path.read_text())
         for top in tree.body:
-            own = top.name if isinstance(top, ast.FunctionDef) else None
-            if own and own.startswith("_") and not own.startswith("__"):
+            own = top.name if isinstance(top, kinds) else None
+            if own and own.startswith("_") != public and not own.startswith("__"):
                 defined[own] = (path.name, top.lineno)
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
@@ -122,9 +127,19 @@ def private_function_references(paths):
 
 def test_every_private_function_is_referenced():
     # a helper nothing calls is code that only looks as if it mattered
-    found = private_function_references(sorted(SRC.glob("*.py")))
+    found = function_references(sorted(SRC.glob("*.py")))
     assert "_collect" in found and "_row" in found
     assert [(name, where) for name, (*where, refs) in sorted(found.items()) if not refs] == []
+
+
+def test_every_public_function_and_class_is_exported_or_used():
+    # a public name that is neither exported nor called is surface without a caller
+    import amoebas
+
+    found = function_references(sorted(SRC.glob("*.py")), public=True)
+    assert "classify" in found and "UniPoly" in found and "AmoebaBasis" in found
+    assert [(name, where) for name, (*where, refs) in sorted(found.items())
+            if not refs and name not in amoebas.__all__] == []
 
 
 def test_an_orphaned_private_function_is_reported(tmp_path):
@@ -135,6 +150,17 @@ def test_an_orphaned_private_function_is_reported(tmp_path):
                    "def _decorator(fn):\n    return fn\n"
                    "@_decorator\ndef public():\n    return _used()\n"
                    "class K:\n    def _method(self):\n        return 1\n")
-    found = private_function_references([mod])
+    found = function_references([mod])
     assert {name: refs for name, (_, _, refs) in found.items()} == {
         "_used": 1, "_recursive": 0, "_decorator": 1}
+
+
+def test_an_orphaned_public_function_or_class_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def _helper():\n    return Used()\n"
+                   "class Used:\n    pass\n"
+                   "class Orphan:\n    def method(self):\n        return Orphan()\n"
+                   "def orphan():\n    return _helper()\n")
+    found = function_references([mod], public=True)
+    assert {name: refs for name, (_, _, refs) in found.items()} == {
+        "Used": 1, "Orphan": 0, "orphan": 0}

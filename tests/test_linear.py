@@ -19,7 +19,7 @@ from amoebas import (
 )
 from amoebas import linear
 from amoebas.laurent import LaurentPoly
-from oracles import linear_tag
+from oracles import linear_moduli, linear_tag
 
 F = parse_poly("1 + 2*z1 + 3*z2", 2)
 REFERENCE = [[0.5, 0.5], [2.0, -1.0]]
@@ -192,6 +192,42 @@ def test_minimality_witnesses_from_the_fallback_walk(monkeypatch):
         assert all(tag != "Complement" for k, tag in enumerate(tags) if k != i)
 
 
+def test_a_duplicated_member_fails_axiom_two():
+    # a copy of g0 is outside its amoeba wherever g0 is, so no point lies
+    # outside g0's amoeba alone: neither a sample nor the walk finds one
+    basis = amoeba_basis(REFERENCE)
+    doubled = AmoebaBasis((basis.polys[0],) + basis.polys, basis.witness)
+    assert linear._walk_witness(doubled, 0) is None
+    with pytest.raises(AxiomFailure, match="without member 0") as err:
+        verify_basis(doubled)
+    assert (err.value.axiom, err.value.witness) == (2, None)
+
+
+def test_rank_deficient_coefficient_rows_fail_axiom_three(monkeypatch):
+    # amoeba_basis never emits dependent rows; a patched SVD stands in for them
+    basis = amoeba_basis(REFERENCE)
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1.0, 1e-12, 0.0]))
+    with pytest.raises(AxiomFailure, match="axiom 3: coefficient rank 1 != 2") as err:
+        verify_basis(basis, samples=100)
+    assert (err.value.axiom, err.value.witness) == (3, None)
+
+
+def test_walk_witnesses_lie_outside_their_member_alone():
+    # a walk step often leaves several amoebas at once; only a lone one counts
+    rng = np.random.default_rng(5)
+    found = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        basis = amoeba_basis(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for i in range(n + 1):
+            w = linear._walk_witness(basis, i)
+            if w is not None:
+                found += 1
+                outside = [linear_classify(g, w)[0] == "Complement" for g in basis.polys]
+                assert outside[i] and sum(outside) == 1
+    assert found > 50
+
+
 def test_removing_a_member_breaks_the_point_intersection():
     basis = amoeba_basis([[0.5, 0.5], [2.0, -1.0]])
     report = verify_basis(basis, samples=500)
@@ -287,11 +323,17 @@ def _lead_points(g, gaps, rng):
     return np.array(pts)
 
 
-# gaps within 1e-12 of the 1e-9 band edges, most within a few ulps of them
+# lead gaps within 1e-12 of the 1e-9 band edges, most within a few ulps of them
 # where numpy and math arithmetic can disagree, and just outside that guard band
 GUARDED = [s * 1e-9 + d for s in (1, -1)
            for d in (-4e-13, *(k * 1e-16 for k in range(-4, 5)), 4e-13)]
 UNGUARDED = [0.0] + [s * 1e-9 + d for s in (1, -1) for d in (-3e-12, 3e-12)]
+
+
+def near_complement_edge(g, w):
+    """Whether some dominance gap of g at w lies within 1e-12 of +1e-9 (scalar arithmetic)."""
+    vals, total = linear_moduli(g.terms.items(), w)
+    return any(abs(v - (total - v) - 1e-9) <= 1e-12 for v in vals)
 
 
 @pytest.mark.parametrize("matrix", [REFERENCE, [[1.0, 2.0], [3.0, 4.0]], SYS3],
@@ -312,11 +354,14 @@ def test_array_tags_match_the_scalar_oracle(monkeypatch, matrix):
             guarded,
         ])
         handed.clear()
-        got = [linear._TAGS[t] for t in linear._linear_tags(g, W)]
-        assert got == [linear_tag(g.terms.items(), w) for w in W.tolist()]
-        # the rows in the guard band, and only those, go to linear_classify
-        assert handed == guarded.tolist()
-        seen.update(got)
+        tags = [linear_tag(g.terms.items(), w) for w in W.tolist()]
+        assert linear._outside(g, W).tolist() == [tag == "Complement" for tag in tags]
+        # the rows with a gap at the +1e-9 Complement edge, and only those, go
+        # to linear_classify: half the guarded rows, or all of them for two
+        # terms, where a lead at -1e-9 leaves its one rival at +1e-9
+        assert handed == [w for w in W.tolist() if near_complement_edge(g, w)]
+        assert len(handed) == len(guarded) // (1 if len(g.terms) == 2 else 2)
+        seen.update(tags)
     assert seen == {"Complement", "Boundary", "Interior"}
 
 

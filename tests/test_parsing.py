@@ -88,6 +88,25 @@ def test_syntax_error_span_points_at_offender():
     assert "z1 + * z2"[lo:hi] == "*"
 
 
+@pytest.mark.parametrize("text, message, span", [
+    ("1 + z", "expected digit after 'z' at 4", (4, 5)),
+    ("2*za", "expected digit after 'z' at 2", (2, 3)),
+    ("z1 + .", "malformed number at 5", (5, 6)),
+    ("z1 $ 2", "unexpected character '$' at 3", (3, 4)),
+])
+def test_tokenizer_errors_name_the_offender_and_its_span(text, message, span):
+    with pytest.raises(PolySyntaxError) as info:
+        tokenize(text)
+    assert str(info.value) == message and info.value.span == span
+
+
+def test_missing_closing_parenthesis_is_reported_at_the_end():
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly("(z1 + 2", 2)
+    assert str(info.value) == "expected rparen, got end of input"
+    assert info.value.span == (7, 7)
+
+
 def test_empty_input():
     with pytest.raises(EmptyInput):
         parse_poly("", 2)
