@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import os
@@ -260,11 +261,8 @@ def _write_svg(path, raster, rgb_of):
     for j in range(ny - 1, -1, -1):
         y = ny - 1 - j
         i = 0
-        while i < nx:
-            rgb = rgb_of(raster.cells[i, j])
-            run = 1
-            while i + run < nx and rgb_of(raster.cells[i + run, j]) == rgb:
-                run += 1
+        for rgb, cells in itertools.groupby(rgb_of(raster.cells[k, j]) for k in range(nx)):
+            run = sum(1 for _ in cells)
             color = "#{:02x}{:02x}{:02x}".format(*rgb)
             parts.append(
                 f'<rect x="{i}" y="{y}" width="{run}" height="1" fill="{color}"/>'

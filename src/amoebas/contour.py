@@ -132,9 +132,9 @@ def _eliminate(curve, theta):
         ) from exc
 
 
-def _pick(state, found):
+def _pick(found):
     """Every t1 root off the origin goes on, as its own head."""
-    return state, [(cl.center, cl.center) for cl in found if not abs(cl.center) < TORUS_CUTOFF]
+    return [(cl.center, cl.center) for cl in found if not abs(cl.center) < TORUS_CUTOFF]
 
 
 def _vanished(t1):

@@ -285,16 +285,11 @@ def _eliminate(f, w, columns=False):
     return (gb, coeff_sum), res
 
 
-def _pick(state, found):
-    """Merge the resultant clusters; each within UNIT_BAND of |t| = 1 goes on.
-
-    Returns ((gb, coeff_sum, clusters), pairs): the merged (center,
-    multiplicity) pairs, and a ((cluster id, t1), t1) pair per cluster
-    in the band.
-    """
-    clusters = _merge_near_unit(found)
-    return (*state, clusters), [((ci, t1), t1) for ci, (t1, _) in enumerate(clusters)
-                                if abs(abs(t1) - 1.0) <= UNIT_BAND]
+def _pick(found):
+    """Merge the resultant clusters; each within UNIT_BAND of |t| = 1 goes on,
+    as a ((cluster id, multiplicity, t1), t1) pair."""
+    return [((ci, m, t1), t1) for ci, (t1, m) in enumerate(_merge_near_unit(found))
+            if abs(abs(t1) - 1.0) <= UNIT_BAND]
 
 
 def _vanished(t1):
@@ -306,61 +301,59 @@ def _vanished(t1):
 
 
 def _solutions(state, found):
-    """Polish the torus candidates of one fiber and group them into solutions.
+    """Polish the torus candidates of one fiber, group them into solutions, and tag w.
 
-    ``state`` comes from ``_pick`` and ``found`` pairs each
-    (cluster id, t1) with the root clusters of its slice.  Returns
-    (solutions, gauss_pairs) sorted by phi.
+    ``state`` is (gb, coeff_sum) and ``found`` pairs each head of ``_pick``
+    with the root clusters of its slice.  Returns the PointClass of w, its
+    solutions sorted by phi: no solution is Complement, all critical is
+    Boundary (with the caveat when their Gauss directions spread beyond
+    DIRECTION_TOL), some critical is ContourInterior, none is Interior.
     """
-    gb, coeff_sum, clusters = state
+    gb, coeff_sum = state
     tau = 2.0 * math.pi
-    cands = []  # (phi, score, g1, g2, cluster_id)
-    for (ci, t1), roots2 in found:
+    cands = []  # (phi, score, g1, g2, (cluster_id, multiplicity))
+    for (ci, m, t1), roots2 in found:
         for c2 in (c for c in roots2 if abs(abs(c.center) - 1.0) <= UNIT_BAND):
             phi0 = (cmath.phase(t1) % tau, cmath.phase(c2.center) % tau)
             phi, val, g1, g2 = _polish_phi(gb, phi0, coeff_sum)
-            if not (abs(val) <= RESIDUAL_REL * coeff_sum):
-                continue
-            cands.append((phi, _score(g1, g2), g1, g2, ci))
+            if abs(val) <= RESIDUAL_REL * coeff_sum:  # False for a non-finite value too
+                cands.append((phi, _score(g1, g2), g1, g2, (ci, m)))
 
     # group candidates that polished to the same torus point
-    groups = []  # [phi, score, g1, g2, {cluster_id}]
-    for item in sorted(cands, key=lambda it: (it[0], it[1])):
-        phi, score, g1, g2, ci = item
+    groups = []  # [phi, score, g1, g2, {(cluster_id, multiplicity)}]
+    for phi, score, g1, g2, cl in sorted(cands, key=lambda it: (it[0], it[1])):
         for grp in groups:
             da = min(abs(phi[0] - grp[0][0]), tau - abs(phi[0] - grp[0][0]))
             db = min(abs(phi[1] - grp[0][1]), tau - abs(phi[1] - grp[0][1]))
             if math.hypot(da, db) < GROUP_RADIUS:
                 if score < grp[1]:
                     grp[0], grp[1], grp[2], grp[3] = phi, score, g1, g2
-                grp[4].add(ci)
+                grp[4].add(cl)
                 break
         else:
-            groups.append([phi, score, g1, g2, {ci}])
+            groups.append([phi, score, g1, g2, {cl}])
 
     # Local intersection multiplicity: a resultant cluster of size m that
     # feeds k distinct torus points certifies multiplicity m/k on each of
     # them (a simple tangency projects to a double root, two transversal
     # points over one t1 to a pair of simple roots, and so on).
-    fed = {}
-    for gi, grp in enumerate(groups):
-        for ci in grp[4]:
-            fed.setdefault(ci, set()).add(gi)
-    mults = []
-    for grp in groups:
-        m = 1
-        for ci in grp[4]:
-            m = max(m, round(clusters[ci][1] / len(fed[ci])))
-        mults.append(max(1, m))
-
+    fed = collections.Counter(cl for grp in groups for cl in grp[4])
     sols = []
-    gauss = []
-    for i in sorted(range(len(groups)), key=lambda k: groups[k][0]):
-        phi, score, g1, g2, _ = groups[i]
-        critical = mults[i] >= 2 or score < CRITICAL_TOL
-        sols.append(FiberSolution(phi, mults[i], critical, score))
-        gauss.append((g1, g2))
-    return sols, gauss
+    gauss = []  # (g1, g2) of each critical solution
+    for phi, score, g1, g2, cls in sorted(groups, key=lambda grp: grp[0]):
+        mult = max([1] + [round(m / fed[ci, m]) for ci, m in cls])
+        critical = mult >= 2 or score < CRITICAL_TOL
+        sols.append(FiberSolution(phi, mult, critical, score))
+        if critical:
+            gauss.append((g1, g2))
+    if not sols:
+        return PointClass("Complement")
+    if len(gauss) == len(sols):
+        dirs = [_direction(g1, g2) for g1, g2 in gauss]
+        gaps = (abs(a - dirs[0]) % math.pi for a in dirs[1:])
+        return PointClass("Boundary", sols,
+                          caveat=any(min(gap, math.pi - gap) > DIRECTION_TOL for gap in gaps))
+    return PointClass("ContourInterior" if gauss else "Interior", sols)
 
 
 def _slice(gb, coeff_sum, t1):
@@ -380,8 +373,8 @@ def _staged(items, eliminate, pick, vanished, finish, errors):
     ``eliminate(item)`` per item, giving (state, polynomial in t1) with
     state opening on the dense g and its coefficient modulus sum, or None
     when no root finder is needed; one batched root finder over all t1
-    polynomials; ``pick(state, roots)`` per item, giving (state, a list of
-    (head, t1) pairs); the slice g(t1, .) in t2 per pair; one batched root
+    polynomials; ``pick(roots)`` per item, giving a list of (head, t1)
+    pairs; the slice g(t1, .) in t2 per pair; one batched root
     finder over all slices; ``finish(state, [(head, roots), ...])`` per
     item.  When ``_slice`` finds a slice vanished, ``vanished(t1)`` raises,
     or returns to drop the pair.  Every root set passes ``_converged`` before
@@ -406,11 +399,9 @@ def _staged(items, eliminate, pick, vanished, finish, errors):
         staged = []  # (index, state, [(head, slice in t2), ...])
         for (k, state, _), found in zip(live, _roots_batch([it[2] for it in live])):
             try:
-                state, picked = pick(state, _converged(found))
-                gb, coeff_sum = state[:2]
                 slices = []
-                for head, t1 in picked:
-                    slice_c = _slice(gb, coeff_sum, t1)
+                for head, t1 in pick(_converged(found)):
+                    slice_c = _slice(state[0], state[1], t1)
                     if slice_c is None:
                         vanished(t1)
                     else:
@@ -445,19 +436,21 @@ def _fibers(f, ws):
     The stages are: restriction, shortcut and resultant per point, for
     restrictions in one torus variable too; the merge, the band filter and
     the back-substitution slices per point; polishing and grouping per
-    candidate.  A fiber is DegenerateFiber when the resultant vanishes
-    identically (for a univariate restriction, with a root of it within
-    UNIT_ROOT_TOL of |t| = 1), or when a vanished slice has its t1 there (a
-    resultant root, or a column root as ``_eliminate`` says).  Returns an
-    iterator with one entry per point: (solutions, gauss_pairs) sorted by
-    phi, or the DegenerateFiber or NoConvergence raised for that point alone.
+    candidate, and the tag per point.  A fiber is DegenerateFiber when the
+    resultant vanishes identically (for a univariate restriction, with a
+    root of it within UNIT_ROOT_TOL of |t| = 1), or when a vanished slice
+    has its t1 there (a resultant root, or a column root as ``_eliminate``
+    says).  Returns an
+    iterator with one entry per point: its PointClass (Complement when the
+    shortcut or the resultant rules out torus points), or the DegenerateFiber
+    or NoConvergence raised for that point alone.
     """
     _check_curve(f)
     # a support column of one term b z1^i z2^j has no root c != 0, so no t2-free factor
     columns = min(collections.Counter(alpha[1] for alpha in f.terms).values()) > 1
     solved = _staged(ws, functools.partial(_eliminate, f, columns=columns), _pick, _vanished,
                      _solutions, (DegenerateFiber, NoConvergence))
-    return (([], []) if out is None else out for out in solved)
+    return (PointClass("Complement") if out is None else out for out in solved)
 
 
 def fiber_solutions(f, w):
@@ -491,7 +484,7 @@ def fiber_solutions(f, w):
     solved = next(_fibers(f, [w]))
     if isinstance(solved, AmoebaError):
         raise solved
-    return solved[0]
+    return list(solved.solutions)
 
 
 def classify(f, w):
@@ -527,20 +520,7 @@ def _tag(solved):
         return PointClass("Degenerate")
     if isinstance(solved, AmoebaError):
         raise solved
-    sols, gauss = solved
-    if not sols:
-        return PointClass("Complement")
-    criticals = [i for i, s in enumerate(sols) if s.critical]
-    if len(criticals) == len(sols):
-        dirs = [_direction(*gauss[i]) for i in criticals]
-        spread = 0.0
-        for a in dirs[1:]:
-            gap = abs(a - dirs[0]) % math.pi
-            spread = max(spread, min(gap, math.pi - gap))
-        return PointClass("Boundary", sols, caveat=spread > DIRECTION_TOL)
-    if criticals:
-        return PointClass("ContourInterior", sols)
-    return PointClass("Interior", sols)
+    return solved
 
 
 # --------------------------------------------------------------------------

@@ -146,9 +146,9 @@ def evaluate(f, z):
     Returns
     -------
     complex
-        sum_alpha b_alpha z^alpha, accumulated with compensated (Kahan)
-        summation over the support in sorted order, so the result is
-        deterministic for a fixed input.
+        sum_alpha b_alpha z^alpha, its real and imaginary parts each
+        summed by ``math.fsum``, so the result does not depend on the
+        order of the terms.
 
     Raises
     ------
@@ -159,8 +159,7 @@ def evaluate(f, z):
     if len(z) != f.nvars:
         raise ValueError("point has wrong arity")
     zero_at = [v == 0 for v in z]
-    s = 0j
-    comp = 0j
+    terms = []
     for alpha in sorted(f.terms):
         term = f.terms[alpha]
         for v, a, vz in zip(z, alpha, zero_at):
@@ -172,11 +171,8 @@ def evaluate(f, z):
                     break
             else:
                 term *= v**a
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    return s
+        terms.append(term)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def fiber_restrict(f, w):

@@ -250,20 +250,17 @@ def _outside(g, W):
 def _walk_witness(basis, i):
     """A point off Log|v| inside every amoeba except the i-th, or None.
 
-    Walks from Log|v| along the direction that increases the i-th
-    dominance gap and decreases all the others, and returns the first of
+    Walks from Log|v| along the direction that grows the i-th member's
+    leading term there alone: e_k when it is the term in z_k, and
+    -(1, .., 1)/sqrt(n) when it is the constant.  Returns the first of
     five steps outside the i-th amoeba alone.
     """
-    w_star = list(basis.log_point)
-    # gradient of gap_k wrt w: +r_j on the dominant slot k, -r_j elsewhere
-    rows = [[r if j == k else -r for j, r in enumerate(_term_moduli(g, w_star)[1:], 1)]
-            for k, g in enumerate(basis.polys)]
-    target = [1.0 if k == i else -1.0 for k in range(len(basis.polys))]
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(target), rcond=None)
-    norm = float(np.linalg.norm(sol))
-    if norm == 0.0:
-        return None
-    W = np.asarray(w_star) + np.outer((1e-3, 1e-2, 1e-1, 0.3, 1.0), sol / norm)
+    w_star = basis.log_point
+    n = len(w_star)
+    vals = _term_moduli(basis.polys[i], w_star)
+    lead = vals.index(max(vals))
+    d = np.eye(n)[lead - 1] if lead else np.full(n, -1.0 / math.sqrt(n))
+    W = np.asarray(w_star) + np.outer((1e-3, 1e-2, 1e-1, 0.3, 1.0), d)
     outside = np.stack([_outside(g, W) for g in basis.polys], axis=1)
     lone = outside[:, i] & (outside.sum(axis=1) == 1)
     return tuple(W[lone.argmax()].tolist()) if lone.any() else None
@@ -281,8 +278,8 @@ def verify_basis(basis, samples=10000, box=2.0):
 
     Axiom 2 (minimality): for every i a witness point is produced that
     lies in all member amoebas except the i-th: the first sample, in draw
-    order, outside the i-th member only, or else a point of a
-    least-squares walk away from Log|v|.
+    order, outside the i-th member only, or else a point of a walk away
+    from Log|v| along the direction that grows that member's leading term.
 
     Axiom 3 (generation): the affine coefficient rows (1, b_j1, .., b_jn)
     span a rank-n space, which for linear ideals means the members

@@ -374,6 +374,19 @@ def test_basis_matrix_may_start_with_a_minus(capsys):
     assert "axiom 3: ok (rank 2)" in out
 
 
+def test_a_4x4_basis_no_sample_separates_verifies(capsys):
+    # no default sample lies outside g1's amoeba alone, so its witness comes
+    # from the walk along g1's leading term
+    code, out, _ = run(capsys, "basis", "--linear",
+                       "-0.48+0.31i,1.25+0.7i,0.72-0.69i,0.7+0.81i;"
+                       "-1.31-0.33i,-0.37+1.23i,-0.51+0.53i,0.21+0.22i;"
+                       "-1.68+2.01i,1.27+0.83i,0.3+1.31i,0.43-1.19i;"
+                       "-1.18-0.65i,-0.03+0.84i,1.33+0.91i,-1.57-0.06i")
+    assert code == 0
+    assert [f"axiom 2: ok without g{i} at" in out for i in range(5)] == [True] * 5
+    assert "axiom 3: ok (rank 4)" in out
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

@@ -366,7 +366,7 @@ def test_slice_vanishes_at_a_factor_root_only(monkeypatch, text, t1, vanished):
                         lambda polys: batches.append(polys) or real(polys))
     found = next(amoebas.fiber._staged(
         [None], lambda _: ((gb, float(np.abs(gb).sum())), [1.0]),
-        lambda state, _: (state, [("head", t1)]), gone.append, lambda _, found: found, ()))
+        lambda _: [("head", t1)], gone.append, lambda _, found: found, ()))
     assert gone == ([t1] if vanished else [])
     assert [head for head, _ in found] == ([] if vanished else ["head"])
     if not vanished:
@@ -379,7 +379,7 @@ def staged_fiber(f, w, clusters):
     the (head, roots) pair of each slice that did not vanish, or the DegenerateFiber."""
     return next(amoebas.fiber._staged(
         [w], functools.partial(amoebas.fiber._eliminate, f),
-        lambda state, _: amoebas.fiber._pick(state, clusters), amoebas.fiber._vanished,
+        lambda _: amoebas.fiber._pick(clusters), amoebas.fiber._vanished,
         lambda _, found: found, (DegenerateFiber,)))
 
 

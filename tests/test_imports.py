@@ -7,16 +7,21 @@ counts as used when some module of the package reads it, and a
 module-level ``_function`` when some module of the package refers to it
 outside the function's own definition.  A module-level public function
 or class counts as used when it is in ``amoebas.__all__`` or some module
-of the package refers to it outside its own definition.
+of the package refers to it outside its own definition.  Every name that
+README.md cites in backticks as package code, private (``_staged``) or
+dotted into a module (``fiber._staged``), is bound at the top level of
+that module, or of some module when it is undotted.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "amoebas"
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(path):
@@ -164,3 +169,62 @@ def test_an_orphaned_public_function_or_class_is_reported(tmp_path):
     found = function_references([mod], public=True)
     assert {name: refs for name, (_, _, refs) in found.items()} == {
         "Used": 1, "Orphan": 0, "orphan": 0}
+
+
+def readme_names(readme):
+    """The backticked spans of ``readme`` that read as Python names, outside fenced blocks."""
+    text = re.sub(r"^```.*?^```", "", readme.read_text(), flags=re.S | re.M)
+    spans = {m.group(2) for m in re.finditer(r"(`+)(.+?)\1", text, flags=re.S)}
+    return sorted(s for s in spans if re.fullmatch(r"[A-Za-z_][\w.]*", s))
+
+
+def missing_names(names, paths):
+    """The names that cite package code which no module of ``paths`` binds.
+
+    A name cites package code when it is dotted into a module of paths
+    (``fiber._staged``) or private and undotted (``_staged``; a dunder
+    such as ``__all__`` is Python's).  Definitions, assignments and
+    imports at a module's top level bind names.
+    """
+    bound = {}
+    for path in paths:
+        names_here = bound.setdefault(path.stem, set())
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names_here.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names_here |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names_here |= {a.asname or a.name.partition(".")[0] for a in node.names}
+    missing = []
+    for name in names:
+        mod, _, attr = name.rpartition(".")
+        if mod in bound:
+            if attr not in bound[mod]:
+                missing.append(name)
+        elif not mod and name.startswith("_") and not name.startswith("__"):
+            if not any(name in here for here in bound.values()):
+                missing.append(name)
+    return missing
+
+
+def test_every_name_the_readme_cites_exists():
+    # a document that names a helper the code lost sends its reader nowhere
+    names = readme_names(README)
+    assert "fiber._staged" in names and "laurent._collect" in names
+    assert missing_names(names, sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_missing_readme_name_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import math as _m\n_LIMIT = 1\n"
+                   "def _kept():\n    return _m.pi\n"
+                   "class K:\n    def _method(self):\n        return _LIMIT\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("`_kept`, `mod._LIMIT`, ``mod._m`` and `_gone`; `mod._method`,\n"
+                      "`other._x`, `math.fsum`, `__all__`, `plain` and `a b`.\n"
+                      "```\n`_in_a_fence`\n```\n")
+    names = readme_names(readme)
+    assert names == ["__all__", "_gone", "_kept", "math.fsum", "mod._LIMIT", "mod._m",
+                     "mod._method", "other._x", "plain"]
+    assert missing_names(names, [mod]) == ["_gone", "mod._method"]

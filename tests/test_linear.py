@@ -172,15 +172,15 @@ def test_verify_basis_rejects_a_box_it_cannot_draw_from(box):
 
 def test_minimality_witnesses_from_the_fallback_walk(monkeypatch):
     # one sample cannot serve all three members, so the witnesses come from
-    # the least-squares walk away from Log|v|
+    # the walk away from Log|v| along each member's leading term
     calls = []
-    real = np.linalg.lstsq
+    real = linear._walk_witness
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(linear, "_walk_witness", counted)
     basis = amoeba_basis([[1.0, 2.0], [3.0, 4.0]])
     report = verify_basis(basis, samples=1)
     assert len(calls) == 3
@@ -226,6 +226,17 @@ def test_walk_witnesses_lie_outside_their_member_alone():
                 outside = [linear_classify(g, w)[0] == "Complement" for g in basis.polys]
                 assert outside[i] and sum(outside) == 1
     assert found > 50
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_walk_alone_verifies_seeded_random_systems(n):
+    # with one sample every minimality witness comes from the walk; entries
+    # N(0,1) + iN(0,1) rounded to 0.01, as a user would type them
+    rng = np.random.default_rng(n)
+    for _ in range(25):
+        a = np.round(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 2)
+        report = verify_basis(amoeba_basis(a), samples=1)
+        assert sorted(report.minimality_witnesses) == list(range(n + 1))
 
 
 def test_removing_a_member_breaks_the_point_intersection():
