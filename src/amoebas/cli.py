@@ -420,12 +420,10 @@ def build_parser():
     top.add_argument("--version", action="version", version=f"amoeba {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def add(name, func, help_text, *, point=False, poly=True, window=False,
-            slices=False, outputs=False):
+    def add(name, func, help_text, *, point=False, window=False, slices=False, outputs=False):
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_VALUE
-        if poly:
-            p.add_argument("--poly", required=True, help="polynomial in z1, z2, ...")
+        p.add_argument("--poly", required=True, help="polynomial in z1, z2, ...")
         if point:
             p.add_argument("--point", required=True, help="comma-separated coordinates")
             p.add_argument(

@@ -503,6 +503,8 @@ def classify(f, w):
 
     Raises
     ------
+    ValueError
+        If len(w) != f.nvars.
     DegenerateFiber
         If f is the zero polynomial or a monomial.
     NoConvergence
@@ -547,6 +549,8 @@ def order(f, w):
 
     Raises
     ------
+    ValueError
+        If len(w) != f.nvars.
     DegenerateFiber
         If f is the zero polynomial, which has no complement.
     InconsistentOrder
@@ -560,8 +564,7 @@ def order(f, w):
     if not f.terms:
         raise DegenerateFiber("zero polynomial vanishes on every fiber")
     n = f.nvars
-    items = sorted(f.terms.items())
-    mods, _ = _torus_moduli(items, [float(v) for v in w])
+    items, mods, _ = _torus_moduli(f, w)
     rng = np.random.default_rng(_ORDER_SEED)
     polys = []  # per slice, j-major: coefficients from the lowest power of u up
     for j in range(n):
@@ -593,14 +596,10 @@ def lopsided(f, w):
     Returns the exponent alpha whose term modulus strictly exceeds the sum
     of all the others on the fiber over w, or None when no term dominates.
     A returned alpha proves that w is in the complement and that its
-    component has order alpha.  Raises Overflow when w is non-finite.
+    component has order alpha.  Raises ValueError unless len(w) == f.nvars,
+    and Overflow when w is non-finite.
     """
-    if not f.terms:
-        return None
-    items = sorted(f.terms.items())
-    vals, _ = _torus_moduli(items, [float(v) for v in w])
-    total = math.fsum(vals)
-    best = max(range(len(vals)), key=lambda i: vals[i])
-    if vals[best] > total - vals[best]:
-        return items[best][0]
-    return None
+    items, mods, _ = _torus_moduli(f, w)
+    total = math.fsum(mods)
+    # at most one term can exceed the sum of the others
+    return next((alpha for (alpha, _), m in zip(items, mods) if m > total - m), None)

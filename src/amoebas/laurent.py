@@ -5,9 +5,10 @@ stored as a dictionary from integer exponent vectors to complex
 coefficients.  The module keeps the algebra deliberately small: evaluate,
 take the term moduli |b_alpha| e^{<alpha, w>} on the fiber torus over a
 log-point w, the only place where coefficients are compared (term
-dominance, the fiber restriction, the order), lay terms out densely, and
-take the Newton polytope.  LaurentPoly has no arithmetic; the parser's sums
-(``_collect``) drop a coefficient only when the sum that formed it cancelled.
+dominance, the fiber restriction, the order, linear membership and the
+basis checks), lay terms out densely, and take the Newton polytope.
+LaurentPoly has no arithmetic; the parser's sums (``_collect``) drop a
+coefficient only when the sum that formed it cancelled.
 
 >>> f = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 >>> evaluate(f, (1.0, 1.0))
@@ -199,31 +200,31 @@ def fiber_restrict(f, w):
 
     Raises
     ------
+    ValueError
+        If len(w) != f.nvars.
     Overflow
         If w is non-finite or some <alpha, w> is not representable.
+    """
+    items, mods, cap = _torus_moduli(f, w)
+    kept = ((alpha, (b / abs(b)) * mag)
+            for (alpha, b), mag in zip(items, mods) if mag >= PRUNE_REL)
+    return _dense(kept, f.nvars), cap
+
+
+def _torus_moduli(f, w):
+    """The one step from a query point w to the fiber torus over it.
+
+    Returns f's sorted (alpha, b_alpha) items, their moduli |b_alpha|
+    e^{<alpha, w>} divided by the largest, and the log of the largest
+    (0.0 without items).  Raises ValueError unless len(w) == f.nvars, and
+    Overflow if w is non-finite or some <alpha, w> is not representable.
     """
     w = [float(v) for v in w]
     if len(w) != f.nvars:
         raise ValueError("w has wrong arity")
-    mods, cap = _torus_moduli(f.terms.items(), w)
-    kept = ((alpha, (b / abs(b)) * mag)
-            for (alpha, b), mag in zip(f.terms.items(), mods) if mag >= PRUNE_REL)
-    return _dense(kept, f.nvars), cap
-
-
-def _torus_moduli(items, w):
-    """Term moduli on the fiber torus over w, scaled so that the largest is 1.
-
-    Returns the moduli |b_alpha| e^{<alpha, w>} of ``items``, in order,
-    divided by the largest, and the log of the largest (0.0 without items).
-
-    Raises
-    ------
-    Overflow
-        If w is non-finite or some <alpha, w> is not representable.
-    """
     if not all(math.isfinite(v) for v in w):
         raise Overflow("w must be finite")
+    items = sorted(f.terms.items())
     logs = []
     for alpha, b in items:
         try:
@@ -234,7 +235,7 @@ def _torus_moduli(items, w):
             raise Overflow(f"<alpha, w> overflows for alpha={alpha}")
         logs.append(m)
     cap = max(logs, default=0.0)
-    return [math.exp(m - cap) for m in logs], cap
+    return items, [math.exp(m - cap) for m in logs], cap
 
 
 def _chain(xs, ys, turn):

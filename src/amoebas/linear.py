@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import AxiomFailure, NotLinear, ZeroCoordinate
-from .laurent import LaurentPoly, evaluate
+from .laurent import LaurentPoly, _torus_moduli, evaluate
 from .numeric import solve_linear
 
 _EQUALITY_TOL = 1e-9
@@ -73,24 +73,16 @@ def _row(g):
     return row
 
 
-def _linear_parts(f):
-    """Coefficient vector b of f = c0 (1 + sum b_j z_j), or NotLinear."""
-    const, *b = _row(f)
-    if const == 0:
-        raise NotLinear("the constant term must be present and nonzero")
-    return [bj / const for bj in b]
-
-
 def linear_classify(f, w):
     """Exact membership of w against the amoeba of a linear polynomial.
 
-    With r_j = |b_j| e^{w_j} and r_0 = 1 for the constant term, the tag is
+    With r_0 = |c0| and r_j = |b_j| e^{w_j}, scaled so that the largest is
+    1 (``_torus_moduli``), the tag is
 
-    - ``Complement`` when some r_j strictly exceeds the sum of the others
-      (returned with the order vector: e_j, or the zero vector when the
-      constant dominates),
-    - ``Boundary`` when some r_j equals the sum of the others within
-      1e-9 of the normalized scale,
+    - ``Complement`` when some r_j exceeds the sum of the others by more
+      than 1e-9 (returned with the order vector: e_j, or the zero vector
+      when the constant dominates),
+    - ``Boundary`` when some r_j equals the sum of the others within 1e-9,
     - ``Interior`` otherwise.
 
     Lopsidedness is complete here, so no fiber computation is involved.
@@ -99,26 +91,20 @@ def linear_classify(f, w):
     -------
     (tag, order)
         order is a tuple for Complement and None otherwise.
+
+    Raises NotLinear unless f = c0 + sum b_j z_j with c0 != 0, ValueError
+    unless len(w) == f.nvars, and Overflow when w is non-finite.
     """
-    b = _linear_parts(f)
-    n = f.nvars
-    w = [float(v) for v in w]
-    logr = [
-        math.log(abs(bj)) + wj if bj != 0 else -math.inf
-        for bj, wj in zip(b, w)
-    ]
-    cap = max(0.0, max(logr))
-    # index 0 is the constant term, indices 1..n the variables
-    vals = [math.exp(-cap)] + [math.exp(lr - cap) for lr in logr]
-    total = math.fsum(vals)
-    for j, vj in enumerate(vals):
-        rest = total - vj
-        if vj > rest + _EQUALITY_TOL:
-            order = tuple(1 if k == j - 1 else 0 for k in range(n))
-            return "Complement", order
-    for vj in vals:
-        if abs(vj - (total - vj)) <= _EQUALITY_TOL:
-            return "Boundary", None
+    if _row(f)[0] == 0:
+        raise NotLinear("the constant term must be present and nonzero")
+    items, mods, _ = _torus_moduli(f, w)
+    total = math.fsum(mods)
+    alpha = next((alpha for (alpha, _), m in zip(items, mods)
+                  if m > total - m + _EQUALITY_TOL), None)
+    if alpha is not None:
+        return "Complement", alpha
+    if any(abs(m - (total - m)) <= _EQUALITY_TOL for m in mods):
+        return "Boundary", None
     return "Interior", None
 
 
@@ -133,15 +119,10 @@ def _poly(row):
                            for k, c in enumerate(row)})
 
 
-def _term_moduli(g, w):
-    """Term moduli [|c0|, |b_1| e^{w_1}, ..] of a linear g, 0.0 for an absent term."""
-    c0, *b = _row(g)
-    return [abs(c0)] + [abs(c) * math.exp(wj) for c, wj in zip(b, w)]
-
-
 def _check_vanishes(g, j, v, w_star):
     """Axiom 1 for member j: |g(v)| within 1e-9 of its term-modulus sum at w_star = Log|v|."""
-    if abs(evaluate(g, v)) > 1e-9 * math.fsum(_term_moduli(g, w_star)):
+    _, mods, cap = _torus_moduli(g, w_star)
+    if abs(evaluate(g, v)) > 1e-9 * math.exp(cap) * math.fsum(mods):
         raise AxiomFailure(f"axiom 1: member {j} does not vanish at the witness",
                            axiom=1, witness=v)
 
@@ -204,9 +185,9 @@ def amoeba_basis(a):
     w_star = tuple(math.log(abs(vk)) for vk in v)
     for j, g in enumerate(polys):
         _check_vanishes(g, j, v, w_star)
-        vals = _term_moduli(g, w_star)
-        resid = abs(vals[j] - (math.fsum(vals) - vals[j]))
-        if resid > 1e-9 * max(1.0, vals[j]):
+        _, mods, _ = _torus_moduli(g, w_star)
+        lead = max(mods)  # at least 1 before the scaling, which makes it 1
+        if abs(lead - (math.fsum(mods) - lead)) > 1e-9:
             raise AxiomFailure(
                 f"basis polynomial {j} misses its boundary equality at Log|v|",
                 axiom=1,
@@ -236,9 +217,9 @@ def _outside(g, W):
     edge; the rows left over go to linear_classify itself, which stays the
     one definition of a verdict.
     """
-    logb = [math.log(abs(bj)) if bj != 0 else -math.inf for bj in _linear_parts(g)]
-    logr = np.zeros((W.shape[0], W.shape[1] + 1))
-    logr[:, 1:] = W + logb
+    logr = np.empty((W.shape[0], W.shape[1] + 1))
+    logr[:] = [math.log(abs(c)) if c else -math.inf for c in _row(g)]
+    logr[:, 1:] += W
     vals = np.exp(logr - logr.max(axis=1, keepdims=True))
     gap = vals - (vals.sum(axis=1, keepdims=True) - vals)  # v_j - rest_j
     out = (gap > _EQUALITY_TOL).any(axis=1)
@@ -257,9 +238,9 @@ def _walk_witness(basis, i):
     """
     w_star = basis.log_point
     n = len(w_star)
-    vals = _term_moduli(basis.polys[i], w_star)
-    lead = vals.index(max(vals))
-    d = np.eye(n)[lead - 1] if lead else np.full(n, -1.0 / math.sqrt(n))
+    items, mods, _ = _torus_moduli(basis.polys[i], w_star)
+    lead = items[mods.index(max(mods))][0]
+    d = np.array(lead, dtype=float) if any(lead) else np.full(n, -1.0 / math.sqrt(n))
     W = np.asarray(w_star) + np.outer((1e-3, 1e-2, 1e-1, 0.3, 1.0), d)
     outside = np.stack([_outside(g, W) for g in basis.polys], axis=1)
     lone = outside[:, i] & (outside.sum(axis=1) == 1)

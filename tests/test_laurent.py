@@ -10,9 +10,13 @@ from amoebas import (
     LaurentPoly,
     Overflow,
     ZeroCoordinate,
+    classify,
     evaluate,
     fiber_restrict,
+    linear_classify,
+    lopsided,
     newton_polytope,
+    order,
     parse_poly,
 )
 from amoebas.fiber import _eval_bi
@@ -105,6 +109,15 @@ def test_fiber_restrict_overflow_guard():
         fiber_restrict(f, (1e303, 0.0))
     with pytest.raises(Overflow):
         fiber_restrict(f, (float("inf"), 0.0))
+
+
+@pytest.mark.parametrize("w", [(0.0,), (0.0, -9.0, 3.0)], ids=["short", "long"])
+@pytest.mark.parametrize("query", [lopsided, order, linear_classify, fiber_restrict, classify],
+                         ids=lambda q: q.__name__)
+def test_every_point_query_rejects_a_point_of_the_wrong_length(query, w):
+    # zip would truncate the point and answer for another one
+    with pytest.raises(ValueError, match="wrong arity"):
+        query(parse_poly("1 + z1 + 100*z2", 2), w)
 
 
 # Monomial clearing (multiplying by z^beta so every exponent starts at 0)

@@ -112,13 +112,13 @@ def test_basis_member_that_does_not_vanish_fails_axiom_one(monkeypatch):
 
 
 def test_basis_member_off_its_boundary_equality_fails_axiom_one(monkeypatch):
-    real = linear._term_moduli
+    real = linear._torus_moduli
 
     def heavier_constant(g, w):
-        vals = real(g, w)
-        return [2.0 * vals[0]] + vals[1:]
+        items, mods, cap = real(g, w)
+        return items, [2.0 * mods[0]] + mods[1:], cap  # the constant sorts first
 
-    monkeypatch.setattr(linear, "_term_moduli", heavier_constant)
+    monkeypatch.setattr(linear, "_torus_moduli", heavier_constant)
     with pytest.raises(AxiomFailure) as err:
         amoeba_basis(REFERENCE)
     assert err.value.axiom == 1
@@ -373,6 +373,27 @@ def test_array_tags_match_the_scalar_oracle(monkeypatch, matrix):
         assert handed == [w for w in W.tolist() if near_complement_edge(g, w)]
         assert len(handed) == len(guarded) // (1 if len(g.terms) == 2 else 2)
         seen.update(tags)
+    assert seen == {"Complement", "Boundary", "Interior"}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_linear_classify_matches_the_scalar_oracle_for_any_constant(n):
+    # the basis members all have the constant 1; here the constant's modulus
+    # varies, as in the benchmark's linear polynomials
+    rng = np.random.default_rng(20261020 + n)
+    seen = set()
+    for _ in range(60):
+        mods = np.exp(rng.uniform(math.log(0.3), math.log(3.0), n + 1))
+        g = linear._poly(np.round(mods * np.exp(1j * rng.uniform(0, 2 * math.pi, n + 1)), 6))
+        W = np.vstack([rng.uniform(-1.5, 1.5, (20, n)), _lead_points(g, UNGUARDED, rng)])
+        for w in W.tolist():
+            tag, order = linear_classify(g, w)
+            assert tag == linear_tag(g.terms.items(), w)
+            if tag == "Complement":
+                vals, _ = linear_moduli(g.terms.items(), w)
+                lead = vals.index(max(vals))
+                assert order == tuple(int(k == lead - 1) for k in range(n))
+            seen.add(tag)
     assert seen == {"Complement", "Boundary", "Interior"}
 
 
