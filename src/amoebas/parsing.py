@@ -6,7 +6,7 @@ variables):
     expr   := ('+'|'-')? term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := number 'i'? | 'i' | var ('^' int)? | '(' expr ')'
-    var    := 'z' digit
+    var    := 'z' decimal-digit
     int    := ('+'|'-')? digit+
     number := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
 
@@ -23,8 +23,13 @@ import re
 from .errors import EmptyInput, PolySyntaxError, UnknownVariable
 from .laurent import LaurentPoly, _collect
 
-_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_INT = re.compile(r"\d+$")
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<var>z\d) | (?P<imag>i)
+  | (?P<caret>\^) | (?P<star>\*) | (?P<plus>\+) | (?P<minus>-) | (?P<lparen>\() | (?P<rparen>\))
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class ExprToken:
@@ -50,37 +55,17 @@ def tokenize(text):
     PolySyntaxError with its span.
     """
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch == "i":
-            out.append(ExprToken("imag", "i", (i, i + 1)))
-            i += 1
-            continue
-        if ch == "z":
-            if i + 1 < n and text[i + 1].isdigit():
-                out.append(ExprToken("var", text[i:i + 2], (i, i + 2)))
-                i += 2
-                continue
-            raise PolySyntaxError(f"expected digit after 'z' at {i}", span=(i, i + 1))
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER.match(text, i)
-            if not m:
-                raise PolySyntaxError(f"malformed number at {i}", span=(i, i + 1))
-            out.append(ExprToken("number", m.group(0), (i, m.end())))
-            i = m.end()
-            continue
-        simple = {"^": "caret", "*": "star", "+": "plus", "-": "minus",
-                  "(": "lparen", ")": "rparen"}
-        if ch in simple:
-            out.append(ExprToken(simple[ch], ch, (i, i + 1)))
-            i += 1
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r} at {i}", span=(i, i + 1))
+        if kind == "bad":
+            ch, i = m.group(), m.start()
+            what = ("expected digit after 'z'" if ch == "z" else
+                    "malformed number" if ch == "." or ch.isdigit() else
+                    f"unexpected character {ch!r}")
+            raise PolySyntaxError(f"{what} at {i}", span=(i, i + 1))
+        out.append(ExprToken(kind, m.group(), m.span()))
     return out
 
 
@@ -88,114 +73,77 @@ class _Parser:
     """Recursive descent; polynomials are term dicts {exponent: complex} until parse_poly."""
 
     def __init__(self, tokens, nvars, text):
-        self.toks = tokens
+        self.toks = tokens + [ExprToken("end", "", (len(text), len(text)))]
         self.pos = 0
         self.nvars = nvars
-        self.text = text
         self.unit = (0,) * nvars
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        if t is not None:
+    def accept(self, *kinds):
+        """Consume and return the next token if its kind is one of kinds; else None."""
+        t = self.toks[self.pos]
+        if t.kind in kinds:
             self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.peek()
-        if t is None or t.kind != kind:
-            raise self.fail(f"expected {kind}")
-        return self.take()
+            return t
+        return None
 
     def fail(self, what):
-        t = self.peek()
-        if t is None:
-            end = len(self.text)
-            return PolySyntaxError(f"{what}, got end of input", span=(end, end))
-        return PolySyntaxError(f"{what}, got {t.lexeme!r}", span=t.span)
+        t = self.toks[self.pos]
+        got = "end of input" if t.kind == "end" else repr(t.lexeme)
+        return PolySyntaxError(f"{what}, got {got}", span=t.span)
 
     def product(self, p, q):
         return _collect({}, ((tuple(x + y for x, y in zip(a1, a2)), b1 * b2)
                              for a1, b1 in p.items() for a2, b2 in q.items()))
 
     def expr(self):
-        sign = 1.0
-        t = self.peek()
-        if t is not None and t.kind in ("plus", "minus"):
-            self.take()
-            sign = -1.0 if t.kind == "minus" else 1.0
+        t = self.accept("plus", "minus")
+        sign = -1.0 if t and t.kind == "minus" else 1.0
         acc = self.product(self.term(), {self.unit: complex(sign)})
-        while True:
-            t = self.peek()
-            if t is None or t.kind not in ("plus", "minus"):
-                return acc
-            self.take()
+        while t := self.accept("plus", "minus"):
             nxt = self.term()
             _collect(acc, nxt.items() if t.kind == "plus" else ((a, -b) for a, b in nxt.items()))
+        return acc
 
     def term(self):
         acc = self.factor()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != "star":
-                return acc
-            self.take()
+        while self.accept("star"):
             q = self.factor()
             # a constant multiplies straight in, so the first sum (and its Overflow) is on the
             # exponents that the term ends up with
             acc = ({a: b * q[self.unit] for a, b in acc.items()} if q.keys() == {self.unit}
                    else self.product(acc, q))
+        return acc
 
     def factor(self):
-        t = self.peek()
-        if t is None:
-            raise self.fail("expected a factor")
-        if t.kind == "number":
-            self.take()
+        if t := self.accept("number"):
             value = float(t.lexeme)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "imag":
-                self.take()
-                return {self.unit: complex(0.0, value)}
-            return {self.unit: complex(value)}
-        if t.kind == "imag":
-            self.take()
+            return {self.unit: complex(0.0, value) if self.accept("imag") else complex(value)}
+        if self.accept("imag"):
             return {self.unit: 1j}
-        if t.kind == "var":
-            self.take()
+        if t := self.accept("var"):
             idx = int(t.lexeme[1])
             if idx < 1 or idx > self.nvars:
-                raise UnknownVariable(
-                    f"variable {t.lexeme} outside z1..z{self.nvars}", span=t.span
-                )
-            expo = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "caret":
-                self.take()
-                expo = self.integer()
+                raise UnknownVariable(f"variable {t.lexeme} outside z1..z{self.nvars}",
+                                      span=t.span)
             alpha = [0] * self.nvars
-            alpha[idx - 1] = expo
+            alpha[idx - 1] = self.integer() if self.accept("caret") else 1
             return {tuple(alpha): 1 + 0j}
-        if t.kind == "lparen":
-            self.take()
+        if self.accept("lparen"):
             inner = self.expr()
-            self.expect("rparen")
+            if not self.accept("rparen"):
+                raise self.fail("expected rparen")
             return inner
         raise self.fail("expected a factor")
 
     def integer(self):
-        sign = 1
-        t = self.peek()
-        if t is not None and t.kind in ("plus", "minus"):
-            self.take()
-            sign = -1 if t.kind == "minus" else 1
-        t = self.peek()
-        if t is None or t.kind != "number" or not _INT.match(t.lexeme):
-            raise self.fail("expected an integer exponent")
-        self.take()
-        return sign * int(t.lexeme)
+        t = self.accept("plus", "minus")
+        sign = -1 if t and t.kind == "minus" else 1
+        t = self.accept("number")
+        if t and t.lexeme.isdecimal():
+            return sign * int(t.lexeme)
+        if t:
+            self.pos -= 1  # the error names the non-integer number itself
+        raise self.fail("expected an integer exponent")
 
 
 def parse_poly(text, nvars):
@@ -215,7 +163,7 @@ def parse_poly(text, nvars):
         raise EmptyInput("empty expression", span=(0, 0))
     p = _Parser(toks, nvars, text)
     terms = p.expr()
-    if p.peek() is not None:
+    if not p.accept("end"):
         raise p.fail("unexpected trailing input")
     return LaurentPoly(nvars, terms)
 

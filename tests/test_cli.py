@@ -256,6 +256,7 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
         (("member", "--poly", CUBIC, "--point", ","), 2, "empty point"),
         (("basis", "--linear", "1,2;3"), 2, "coefficient matrix must be square"),
         (("basis", "--linear", "1,x;3,4"), 2, "bad matrix entry"),
+        (("classify", "--poly", "z²+1", "--point", "0,0"), 2, "expected digit after 'z'"),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
@@ -266,7 +267,8 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "res-above-cap", "empty-window", "malformed-res", "one-number-res",
          "short-window", "malformed-slices", "malformed-samples", "malformed-box",
          "exponent-ceiling", "infinite-literal", "overflowing-sum", "abs-zero",
-         "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix"],
+         "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix",
+         "non-decimal-digit"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
                                                   expected, says):

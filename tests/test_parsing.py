@@ -1,11 +1,13 @@
 """Expression grammar: tokens, parse errors with spans, format round-trips."""
 
+import cmath
+import math
 import random
 import re
 
 import pytest
 
-from amoebas import LaurentPoly, ParseError, format_poly, parse_poly
+from amoebas import LaurentPoly, ParseError, evaluate, format_poly, parse_poly
 from amoebas.errors import EmptyInput, Overflow, PolySyntaxError, UnknownVariable
 from amoebas.parsing import tokenize
 
@@ -93,6 +95,8 @@ def test_syntax_error_span_points_at_offender():
     ("2*za", "expected digit after 'z' at 2", (2, 3)),
     ("z1 + .", "malformed number at 5", (5, 6)),
     ("z1 $ 2", "unexpected character '$' at 3", (3, 4)),
+    ("z²+1", "expected digit after 'z' at 0", (0, 1)),  # a digit, but not a decimal one
+    ("1 + ²", "malformed number at 4", (4, 5)),
 ])
 def test_tokenizer_errors_name_the_offender_and_its_span(text, message, span):
     with pytest.raises(PolySyntaxError) as info:
@@ -159,3 +163,52 @@ def test_random_round_trips():
         text = format_poly(f)
         g = parse_poly(text, nvars)
         assert dict(g.terms) == dict(f.terms), text
+
+
+_LITERALS = ("1", "2", "0.5", "3.25", "1e-2", "7.5e1", ".25")
+
+
+def _expression(rng, nvars, depth=0):
+    """A random expression as (text, the same in Python, the Python of its bound M).
+
+    M reads every '-' as '+', every i as 1 and every zk as 1, so on the
+    unit torus it bounds the modulus of every intermediate result.
+    """
+    text = py = mag = ""
+    for k in range(rng.randint(1, 4)):
+        sign = rng.choice(("+", "-")) if k else rng.choice(("", "+", "-"))
+        factors = [_factor(rng, nvars, depth) for _ in range(rng.randint(1, 3))]
+        text += f" {sign} " + "*".join(f[0] for f in factors)
+        py += f" {sign} " + "*".join(f[1] for f in factors)
+        mag += " + " + "*".join(f[2] for f in factors)
+    return text, py, mag
+
+
+def _factor(rng, nvars, depth):
+    kind = rng.randrange(4 if depth < 2 else 3)
+    if kind == 0:
+        lit = rng.choice(_LITERALS)
+        imag = rng.random() < 0.5
+        return lit + "i" * imag, lit + "j" * imag, lit
+    if kind == 1:
+        var = f"z{rng.randint(1, nvars)}"
+        power = rng.choice(("", "^-3", "^-2", "^-1", "^0", "^1", "^2", "^3", "^+2"))
+        return var + power, var + power.replace("^", "**"), "1"
+    if kind == 2:
+        return "i", "1j", "1"
+    text, py, mag = _expression(rng, nvars, depth + 1)
+    return f"({text})", f"({py})", f"({mag})"
+
+
+def test_parse_means_what_python_reads_in_the_same_text():
+    # an evaluator that shares no code with the parser: Python itself, on
+    # the text with ^ as **, a trailing i as j and zk as the k-th coordinate
+    rng = random.Random(2013)
+    for _ in range(500):
+        nvars = rng.randint(1, 3)
+        text, py, mag = _expression(rng, nvars)
+        z = [cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(nvars)]
+        names = {f"z{k + 1}": v for k, v in enumerate(z)}
+        want = eval(py, {"__builtins__": {}}, names)
+        bound = eval(mag, {"__builtins__": {}})
+        assert abs(evaluate(parse_poly(text, nvars), z) - want) <= 1e-12 * bound, text
