@@ -16,7 +16,6 @@ boundary from the inner contour arcs.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 
@@ -31,6 +30,7 @@ from .fiber import (
     _eval_bi,
     _fibers,
     _score,
+    _slice,
     _staged,
     _tag,
 )
@@ -99,19 +99,10 @@ def _polish_pair(gb, hb, z1, z2):
     return z1, z2, (ge, ga, he, ha)
 
 
-def _eliminate(curve, theta):
-    """First stage of a slice: ((gb, coeff_sum, hb, theta), the t1 polynomial).
-
-    ``curve`` is (gb, coeff_sum, terms): the dense cleared f, the sum of
-    its coefficient moduli and f's (exponent, coefficient) pairs.  The Gauss
-    combination sin(theta) z2 df/dz2 - cos(theta) z1 df/dz1 is summed term
-    by term by ``_collect`` and laid out on its support by ``_dense`` as hb.
-    The t1 polynomial is the Sylvester resultant of g and h in z2, or the
-    z2-free h itself when the Gauss combination lost its z2 dependence.
-    Every exponent of the combination is one of f's, so a z2-free f always
-    takes the second way.
-    """
-    gb, coeff_sum, terms = curve
+def _gauss(terms, theta):
+    """The Gauss combination sin(theta) z2 df/dz2 - cos(theta) z1 df/dz1 of f's
+    (exponent, coefficient) pairs, summed term by term by ``_collect`` and laid out
+    on its support by ``_dense``; DegenerateSlice when it vanishes identically."""
     # snap axis directions: cos(pi/2) is 6.1e-17 in floats, which would hide
     # an identically vanishing Gauss combination behind a phantom tiny term
     st, ct = (0.0 if abs(v) < 1e-15 else v for v in (math.sin(theta), math.cos(theta)))
@@ -120,38 +111,43 @@ def _eliminate(curve, theta):
         raise DegenerateSlice(
             f"Gauss combination vanishes identically at theta={theta:.6f}"
         )
-    hb = _dense(comb.items(), 2)
-    state = (gb, coeff_sum, hb, theta)
-    if hb.shape[1] == 1:
-        return state, hb[:, 0]
-    try:
-        return state, sylvester_resultant(gb, hb)
-    except IdenticallyZero as exc:
-        raise DegenerateSlice(
-            f"slice at theta={theta:.6f} shares a component with the variety"
-        ) from exc
+    return _dense(comb.items(), 2)
 
 
-def _pick(found):
-    """Every t1 root off the origin goes on, as its own head."""
-    return [(cl.center, cl.center) for cl in found if not abs(cl.center) < TORUS_CUTOFF]
+def _solve(curve, theta):
+    """The slice solve at theta, as a generator that ``fiber._staged`` drives.
 
-
-def _vanished(t1):
-    """A vanished slice: V(f) holds the line z1 = t1, so the slice system is not finite."""
-    raise DegenerateSlice("the variety contains a coordinate line through a slice root")
-
-
-def _points(state, found):
-    """Polish, deduplicate and sort the witnesses of one slice.
-
-    ``found`` pairs each t1 of ``_pick`` with the root clusters of its
-    slice.
+    ``curve`` is (gb, coeff_sum, terms): the dense cleared f, the sum of
+    its coefficient moduli and f's (exponent, coefficient) pairs.  The t1
+    polynomial is the Sylvester resultant of g and the Gauss combination h
+    (``_gauss``) in z2, or the z2-free h itself when the combination lost
+    its z2 dependence; every exponent of h is one of f's, so a z2-free f
+    always takes the second way.  Every t1 root off the origin goes on to
+    back-substitution, where a vanished slice raises; then polishing and
+    deduplication per candidate.  Returns the slice's ContourPoint list,
+    sorted by (w, phases).
     """
-    gb, _, hb, theta = state
+    gb, coeff_sum, terms = curve
+    hb = _gauss(terms, theta)
     direct = hb.shape[1] == 1
+    if direct:
+        t1_poly = hb[:, 0]
+    else:
+        try:
+            t1_poly = sylvester_resultant(gb, hb)
+        except IdenticallyZero as exc:
+            raise DegenerateSlice(
+                f"slice at theta={theta:.6f} shares a component with the variety"
+            ) from exc
+    (found,) = yield [t1_poly]
+    t1s = [cl.center for cl in found if not abs(cl.center) < TORUS_CUTOFF]
+    slices = [_slice(gb, coeff_sum, t1) for t1 in t1s]
+    if any(s is None for s in slices):
+        # V(f) holds the line z1 = t1, so the slice system is not finite
+        raise DegenerateSlice("the variety contains a coordinate line through a slice root")
+    found = yield slices
     pairs = []
-    for t1, roots2 in found:
+    for t1, roots2 in zip(t1s, found):
         for c2 in roots2:
             t2 = c2.center
             if not abs(t2) >= TORUS_CUTOFF:
@@ -197,20 +193,17 @@ def _points(state, found):
 
 
 def _sweep(f, thetas):
-    """Solve many slices through ``fiber._staged``.
+    """Slice solves (``_solve``) at many angles, through ``fiber._staged``.
 
-    The stages are: Gauss combination and elimination per slice; every t1
-    root off the origin to back-substitution, where a vanished slice
-    raises; polishing and deduplication per candidate.  The dense f and
-    its coefficient modulus sum are built once per curve.  Returns an
-    iterator with one entry per angle: the sorted ContourPoint list of
-    ``contour_slice``, or the DegenerateSlice raised for that slice alone.
+    The dense f and its coefficient modulus sum are built once per curve.
+    Returns an iterator with one entry per angle: the sorted ContourPoint
+    list of ``contour_slice``, or the DegenerateSlice raised for that slice
+    alone.
     """
     _check_curve(f)
     gb = _dense(f.terms.items(), 2)
     curve = (gb, float(np.abs(gb).sum()), f.terms.items())
-    return _staged(map(float, thetas), functools.partial(_eliminate, curve),
-                   _pick, _vanished, _points, (DegenerateSlice,))
+    return _staged((_solve(curve, float(theta)) for theta in thetas), (DegenerateSlice,))
 
 
 def contour_slice(f, theta):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import collections
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -244,22 +245,23 @@ def _merge_near_unit(clusters):
         items = merged
 
 
-def _eliminate(f, w, columns=False):
-    """Restriction, lopsided shortcut and resultant of the fiber over w.
+def _solve(f, w, columns):
+    """The fiber solve over w, as a generator that ``_staged`` drives.
 
-    Returns None when the fiber has no torus point before the t1 stage,
-    else ((gb, coeff_sum), the resultant of g with its mirror g* in t1),
-    with the dense restriction g and the sum of its coefficient moduli.
-    A restriction without t2 is transposed, so every restriction takes
-    the shortcut and the resultant.  A univariate g gives a constant
-    resultant, which vanishes when g and g* share a root: a root r on
-    |t| = 1, or a pair r, 1/conj(r) of one argument.  Only then are the
-    roots of g found, and they tell the two apart: a full circle
-    (DegenerateFiber) needs one within UNIT_ROOT_TOL of |t| = 1; pairs
-    alone leave no torus point (None).  With ``columns``, ``_vanished``
-    first sees each root c of g's lowest-degree t2-coefficient column where
-    ``_slice`` vanishes: a factor t1 - c of g makes c a root of every column,
-    and the resultant misses c when its multiple root there is off by 1e-10.
+    It yields a list of polynomials whenever it needs their roots and
+    returns the PointClass of w.  The steps: the restriction g, transposed
+    when it lacks t2; the lopsided shortcut (Complement); with
+    ``columns``, the column check ``_columns``; the resultant of g with its
+    mirror g* in t1, whose clusters are merged and kept within UNIT_BAND
+    of |t| = 1; their slices (``_torus_slices``); and ``_solutions``.  A
+    resultant that vanishes identically means that g and g* share a
+    factor.  For a g in t2 alone that is a root on |t| = 1
+    (DegenerateFiber, within UNIT_ROOT_TOL) or a pair r, 1/conj(r) of one
+    argument (Complement), told apart by the roots of g.  For a bivariate
+    g it may be a factor in t2 alone, so g is transposed and t1 eliminated
+    instead, after its own column check: the solve is then the
+    z1-z2-swapped curve's, with the phases swapped back.  The fiber is
+    DegenerateFiber when both resultants vanish.
     """
     gb, _ = fiber_restrict(f, w)
     if gb.shape[1] == 1:
@@ -269,50 +271,72 @@ def _eliminate(f, w, columns=False):
     # lopsided shortcut: one coefficient outweighing the rest rules out
     # torus zeros outright, no resultant needed
     if 2.0 * float(mods.max()) > coeff_sum * (1.0 + 1e-9):
-        return None
+        return PointClass("Complement")
     if columns:
-        low = min((col for col in gb.T if col.any()), key=lambda col: np.flatnonzero(col)[-1])
-        for cl in _converged(_roots_batch([low])[0]):
-            if _slice(gb, coeff_sum, cl.center) is None:
-                _vanished(cl.center)
+        yield from _columns(gb, coeff_sum)
+    res = _mirror_resultant(gb)
+    swap = res is None and gb.shape[0] > 1
+    if swap:
+        gb = gb.T
+        yield from _columns(gb, coeff_sum)
+        res = _mirror_resultant(gb)
+    elif res is None:
+        (found,) = yield [gb[0]]
+        if not any(abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL for cl in found):
+            return PointClass("Complement")
+    if res is None:
+        raise DegenerateFiber("fiber shares a component with the variety")
+    (found,) = yield [res]
+    heads = [(ci, m, t1) for ci, (t1, m) in enumerate(_merge_near_unit(found))
+             if abs(abs(t1) - 1.0) <= UNIT_BAND]
+    slices = _torus_slices(gb, coeff_sum, [t1 for _, _, t1 in heads])
+    kept = [(head, s) for head, s in zip(heads, slices) if s is not None]
+    found = yield [s for _, s in kept]
+    return _solutions(gb, coeff_sum, [head for head, _ in kept], found, swap)
+
+
+def _mirror_resultant(gb):
+    """The resultant of g with its mirror g* in t1, or None when it vanishes identically."""
     try:
-        res = sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
-    except IdenticallyZero as exc:
-        if gb.shape[0] == 1 and not any(abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL
-                                        for cl in _converged(_roots_batch([gb[0]])[0])):
-            return None
-        raise DegenerateFiber("fiber shares a component with the variety") from exc
-    return (gb, coeff_sum), res
+        return sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
+    except IdenticallyZero:
+        return None
 
 
-def _pick(found):
-    """Merge the resultant clusters; each within UNIT_BAND of |t| = 1 goes on,
-    as a ((cluster id, multiplicity, t1), t1) pair."""
-    return [((ci, m, t1), t1) for ci, (t1, m) in enumerate(_merge_near_unit(found))
-            if abs(abs(t1) - 1.0) <= UNIT_BAND]
+def _columns(gb, coeff_sum):
+    """The column check: each root c of g's lowest-degree t2-coefficient column goes through
+    ``_torus_slices``.  A factor t1 - c of g makes c a root of every column, and the
+    resultant misses c when its multiple root there is off by 1e-10."""
+    low = min((col for col in gb.T if col.any()), key=lambda col: np.flatnonzero(col)[-1])
+    (found,) = yield [low]
+    _torus_slices(gb, coeff_sum, [cl.center for cl in found])
 
 
-def _vanished(t1):
-    """A vanished slice at t1 within UNIT_ROOT_TOL of |t| = 1 is a full circle on the
-    torus (DegenerateFiber); farther off, the line t1 = c misses the torus: skipped."""
-    if abs(abs(t1) - 1.0) < UNIT_ROOT_TOL:
+def _torus_slices(gb, coeff_sum, t1s):
+    """The slice g(t1, .) at each t1, None where it vanished (``_slice``).  A vanished slice
+    with t1 within UNIT_ROOT_TOL of |t| = 1 is a full circle on the torus (DegenerateFiber);
+    farther off, the line t1 = c misses the torus."""
+    slices = [_slice(gb, coeff_sum, t1) for t1 in t1s]
+    if any(s is None and abs(abs(t1) - 1.0) < UNIT_ROOT_TOL for t1, s in zip(t1s, slices)):
         raise DegenerateFiber("restriction has a t2-free factor with a unit root: "
                               "the fiber meets the variety in full circles")
+    return slices
 
 
-def _solutions(state, found):
+def _solutions(gb, coeff_sum, heads, found, swap):
     """Polish the torus candidates of one fiber, group them into solutions, and tag w.
 
-    ``state`` is (gb, coeff_sum) and ``found`` pairs each head of ``_pick``
-    with the root clusters of its slice.  Returns the PointClass of w, its
-    solutions sorted by phi: no solution is Complement, all critical is
-    Boundary (with the caveat when their Gauss directions spread beyond
-    DIRECTION_TOL), some critical is ContourInterior, none is Interior.
+    ``found`` holds the root clusters of the slice at each (cluster id,
+    multiplicity, t1) of ``heads``; with ``swap``, g is the transposed
+    restriction and each solution's phases and Gauss numerators are swapped
+    back.  Returns the PointClass of w, its solutions sorted by phi: no
+    solution is Complement, all critical is Boundary (with the caveat when
+    their Gauss directions spread beyond DIRECTION_TOL), some critical is
+    ContourInterior, none is Interior.
     """
-    gb, coeff_sum = state
     tau = 2.0 * math.pi
     cands = []  # (phi, score, g1, g2, (cluster_id, multiplicity))
-    for (ci, m, t1), roots2 in found:
+    for (ci, m, t1), roots2 in zip(heads, found):
         for c2 in (c for c in roots2 if abs(abs(c.center) - 1.0) <= UNIT_BAND):
             phi0 = (cmath.phase(t1) % tau, cmath.phase(c2.center) % tau)
             phi, val, g1, g2 = _polish_phi(gb, phi0, coeff_sum)
@@ -332,6 +356,8 @@ def _solutions(state, found):
                 break
         else:
             groups.append([phi, score, g1, g2, {cl}])
+    if swap:
+        groups = [[phi[::-1], score, g2, g1, cls] for phi, score, g1, g2, cls in groups]
 
     # Local intersection multiplicity: a resultant cluster of size m that
     # feeds k distinct torus points certifies multiplicity m/k on each of
@@ -366,57 +392,31 @@ def _slice(gb, coeff_sum, t1):
         return slice_c
 
 
-def _staged(items, eliminate, pick, vanished, finish, errors):
-    """Solve many zero-dimensional systems in stages that batch the root finder.
+def _staged(solves, errors):
+    """Drive many solve generators, batching the root finder across them.
 
-    Items go in blocks of _BATCH.  Per block, the stages are:
-    ``eliminate(item)`` per item, giving (state, polynomial in t1) with
-    state opening on the dense g and its coefficient modulus sum, or None
-    when no root finder is needed; one batched root finder over all t1
-    polynomials; ``pick(roots)`` per item, giving a list of (head, t1)
-    pairs; the slice g(t1, .) in t2 per pair; one batched root
-    finder over all slices; ``finish(state, [(head, roots), ...])`` per
-    item.  When ``_slice`` finds a slice vanished, ``vanished(t1)`` raises,
-    or returns to drop the pair.  Every root set passes ``_converged`` before
-    a stage reads it.  Yields one entry per item, in order: the result of
-    ``finish``, None, or the exception of one of the ``errors`` types
-    raised for that item alone.
+    A solve yields a list of polynomials whenever it needs their roots,
+    receives their root sets (each through ``_converged``) and returns its
+    answer.  Solves go in blocks of _BATCH; per round, the requests of
+    every solve of a block go through one ``_roots_batch`` call.  Yields
+    one entry per solve, in order: its answer, or the exception of one of
+    the ``errors`` types raised for that solve alone.
     """
-    items = list(items)
-    for lo in range(0, len(items), _BATCH):
-        block = items[lo:lo + _BATCH]
+    solves = iter(solves)
+    while block := list(itertools.islice(solves, _BATCH)):
         out = [None] * len(block)
-        live = []  # (index, state, t1 polynomial)
-        for k, item in enumerate(block):
-            try:
-                elim = eliminate(item)
-            except errors as exc:
-                out[k] = exc
-                continue
-            if elim is not None:
-                live.append((k, *elim))
-
-        staged = []  # (index, state, [(head, slice in t2), ...])
-        for (k, state, _), found in zip(live, _roots_batch([it[2] for it in live])):
-            try:
-                slices = []
-                for head, t1 in pick(_converged(found)):
-                    slice_c = _slice(state[0], state[1], t1)
-                    if slice_c is None:
-                        vanished(t1)
-                    else:
-                        slices.append((head, slice_c))
-                staged.append((k, state, slices))
-            except errors as exc:
-                out[k] = exc
-
-        found = iter(_roots_batch([p for it in staged for _, p in it[2]]))
-        for k, state, slices in staged:
-            mine = [(head, next(found)) for head, _ in slices]
-            try:
-                out[k] = finish(state, [(head, _converged(r)) for head, r in mine])
-            except errors as exc:
-                out[k] = exc
+        sends = dict.fromkeys(range(len(block)))  # solve index -> its root sets, None to start
+        while sends:
+            asks = {}
+            for k, found in sends.items():
+                try:
+                    asks[k] = block[k].send(found and [_converged(r) for r in found])
+                except StopIteration as stop:
+                    out[k] = stop.value
+                except errors as exc:
+                    out[k] = exc
+            found = iter(_roots_batch([p for polys in asks.values() for p in polys]))
+            sends = {k: [next(found) for _ in polys] for k, polys in asks.items()}
         yield from out
 
 
@@ -431,26 +431,15 @@ def _check_curve(f):
 
 
 def _fibers(f, ws):
-    """Fiber solves at many points, through ``_staged``.
+    """Fiber solves (``_solve``) at many points, through ``_staged``.
 
-    The stages are: restriction, shortcut and resultant per point, for
-    restrictions in one torus variable too; the merge, the band filter and
-    the back-substitution slices per point; polishing and grouping per
-    candidate, and the tag per point.  A fiber is DegenerateFiber when the
-    resultant vanishes identically (for a univariate restriction, with a
-    root of it within UNIT_ROOT_TOL of |t| = 1), or when a vanished slice
-    has its t1 there (a resultant root, or a column root as ``_eliminate``
-    says).  Returns an
-    iterator with one entry per point: its PointClass (Complement when the
-    shortcut or the resultant rules out torus points), or the DegenerateFiber
-    or NoConvergence raised for that point alone.
+    Returns an iterator with one entry per point: its PointClass, or the
+    DegenerateFiber or NoConvergence raised for that point alone.
     """
     _check_curve(f)
     # a support column of one term b z1^i z2^j has no root c != 0, so no t2-free factor
     columns = min(collections.Counter(alpha[1] for alpha in f.terms).values()) > 1
-    solved = _staged(ws, functools.partial(_eliminate, f, columns=columns), _pick, _vanished,
-                     _solutions, (DegenerateFiber, NoConvergence))
-    return (PointClass("Complement") if out is None else out for out in solved)
+    return _staged((_solve(f, w, columns) for w in ws), (DegenerateFiber, NoConvergence))
 
 
 def fiber_solutions(f, w):

@@ -90,26 +90,22 @@ class UniPoly:
 
 
 class RootCluster:
-    """A clustered root: center, multiplicity (= cluster size), spread radius.
+    """A clustered root: center and multiplicity (= cluster size).
 
     ``converged`` is False when some member of the cluster hit the
     iteration cap before meeting the correction or residual criterion.
     """
 
-    __slots__ = ("center", "multiplicity", "radius", "converged")
+    __slots__ = ("center", "multiplicity", "converged")
 
-    def __init__(self, center, multiplicity, radius, converged=True):
+    def __init__(self, center, multiplicity, converged=True):
         self.center = complex(center)
         self.multiplicity = int(multiplicity)
-        self.radius = float(radius)
         self.converged = bool(converged)
 
     def __repr__(self):
         tag = "" if self.converged else ", unconverged"
-        return (
-            f"RootCluster({self.center:.12g}, mult={self.multiplicity}, "
-            f"radius={self.radius:.3g}{tag})"
-        )
+        return f"RootCluster({self.center:.12g}, mult={self.multiplicity}{tag})"
 
 
 @functools.cache
@@ -303,12 +299,9 @@ def _cluster_points(z, flags, incl):
         for members in groups.values():
             if len(members) == 1:
                 i = members[0]
-                clusters.append(RootCluster(single[row][i], 1, 0.0, flag[row][i]))
+                clusters.append(RootCluster(single[row][i], 1, flag[row][i]))
                 continue
-            pts = z[row, members]
-            center = pts.mean()
-            radius = float(np.max(np.abs(pts - center)))
-            clusters.append(RootCluster(center, len(members), radius,
+            clusters.append(RootCluster(z[row, members].mean(), len(members),
                                         bool(flags[row, members].all())))
         clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
         out.append(clusters)
@@ -344,7 +337,7 @@ def _roots_batch(polys):
         while at_zero < c.size - 1 and c[at_zero] == 0:
             at_zero += 1
         c = c[at_zero:]
-        out.append([RootCluster(0j, at_zero, 0.0, True)] if at_zero else [])
+        out.append([RootCluster(0j, at_zero)] if at_zero else [])
         if c.size > 1:
             by_degree.setdefault(c.size - 1, []).append((k, c))
     for d, items in by_degree.items():

@@ -236,6 +236,8 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "--res: expected two integers nx,ny, got abc"),
         (("betti", "--poly", "z1+z2+1", "--res", "5", "--output", "OUT.ppm"), 2,
          "--res: expected two integers nx,ny, got 5"),
+        (("betti", "--poly", "z1+z2+1", "--res", "1,5", "--output", "OUT.ppm"), 2,
+         "--res: resolution must be at least 2,2, got 1,5"),
         (("betti", "--poly", "z1+z2+1", "--window", "1,2", "--output", "OUT.ppm"), 2,
          "--window: expected four numbers min1,min2,max1,max2, got 1,2"),
         (("contour", "--poly", CUBIC, "--slices", "x"), 2,
@@ -264,7 +266,7 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "classify-overflow", "contour-monomial", "contour-zero-poly",
          "boundary-monomial", "boundary-zero-poly", "betti-monomial", "betti-zero-poly",
          "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap",
-         "res-above-cap", "empty-window", "malformed-res", "one-number-res",
+         "res-above-cap", "empty-window", "malformed-res", "one-number-res", "res-below-two",
          "short-window", "malformed-slices", "malformed-samples", "malformed-box",
          "exponent-ceiling", "infinite-literal", "overflowing-sum", "abs-zero",
          "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix",
@@ -367,6 +369,13 @@ def test_basis_output(capsys):
     assert "axiom 1: ok (500 samples, 500 escapes)" in out
     assert "axiom 2: ok without g0" in out
     assert "axiom 3: ok (rank 2)" in out
+
+
+def test_basis_samples_a_box_of_the_given_half_side(capsys):
+    code, out, _ = run(capsys, "basis", "--linear", "0.5,0.5;2,-1", "--box", "1.5",
+                       "--samples", "200")
+    assert code == 0
+    assert "axiom 1: ok (200 samples, 200 escapes)" in out
 
 
 def test_basis_matrix_may_start_with_a_minus(capsys):

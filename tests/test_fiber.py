@@ -216,17 +216,13 @@ def test_dense_evaluator_matches_sparse_evaluation():
 
 
 def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
-    # record what every elimination returns; a fiber whose restriction is
-    # not constant and that needs no root finder (None) was decided by the
-    # dominance shortcut
+    # record the size of every root finder request; a fiber whose
+    # restriction is not constant and that asks for no roots was decided by
+    # the dominance shortcut
     calls = []
-    original = amoebas.fiber._eliminate
-
-    def recorded(f, w, **kw):
-        calls.append(original(f, w, **kw))
-        return calls[-1]
-
-    monkeypatch.setattr(amoebas.fiber, "_eliminate", recorded)
+    real = amoebas.fiber._roots_batch
+    monkeypatch.setattr(amoebas.fiber, "_roots_batch",
+                        lambda polys: calls.append(len(polys)) or real(polys))
     rng = random.Random(99)
     shortcuts = 0
     for k in range(400):
@@ -254,7 +250,7 @@ def test_lopsided_shortcut_implies_a_dominant_term(monkeypatch):
             sols = fiber_solutions(f, w)
         except DegenerateFiber:
             continue
-        if calls == [None] and np.count_nonzero(fiber_restrict(f, w)[0]) > 1:
+        if not any(calls) and np.count_nonzero(fiber_restrict(f, w)[0]) > 1:
             shortcuts += 1
             assert not sols
             assert lopsided(f, w) is not None, (dict(f.terms), w)
@@ -394,36 +390,46 @@ def test_vanished_slice_off_the_torus_is_skipped(w):
     ("(z1 - 1e4)*(1 + z2)", -1.0, False),
 ])
 def test_slice_vanishes_at_a_factor_root_only(monkeypatch, text, t1, vanished):
-    # one item through _staged, whose pick hands on t1 alone; the root
-    # finder's second batch holds the slices that did not vanish
+    # one solve through _staged that asks for roots twice: a t1 polynomial,
+    # then the slice at t1 unless it vanished; the root finder's second
+    # batch holds the slices that did not vanish
     gb = _dense(parse_poly(text, 2).terms.items(), 2)
     batches, gone = [], []
     real = amoebas.fiber._roots_batch
     monkeypatch.setattr(amoebas.fiber, "_roots_batch",
                         lambda polys: batches.append(polys) or real(polys))
-    found = next(amoebas.fiber._staged(
-        [None], lambda _: ((gb, float(np.abs(gb).sum())), [1.0]),
-        lambda _: [("head", t1)], gone.append, lambda _, found: found, ()))
+
+    def solve():
+        yield [[1.0]]
+        slice_c = amoebas.fiber._slice(gb, float(np.abs(gb).sum()), t1)
+        if slice_c is None:
+            gone.append(t1)
+            return []
+        return (yield [slice_c])
+
+    found = next(amoebas.fiber._staged([solve()], ()))
     assert gone == ([t1] if vanished else [])
-    assert [head for head, _ in found] == ([] if vanished else ["head"])
+    assert len(found) == (0 if vanished else 1)
     if not vanished:
         (got,) = batches[1]
         np.testing.assert_array_equal(got, (t1 ** np.arange(gb.shape[0])) @ gb)
 
 
-def staged_fiber(f, w, clusters):
-    """One fiber through ``_staged`` with ``clusters`` as its resultant root clusters:
-    the (head, roots) pair of each slice that did not vanish, or the DegenerateFiber."""
-    return next(amoebas.fiber._staged(
-        [w], functools.partial(amoebas.fiber._eliminate, f),
-        lambda _: amoebas.fiber._pick(clusters), amoebas.fiber._vanished,
-        lambda _, found: found, (DegenerateFiber,)))
+def backsub_slices(f, w, clusters):
+    """One fiber solve without the column check, given ``clusters`` as its resultant root
+    clusters: the slices that did not vanish, which it asks roots of, or the DegenerateFiber."""
+    solve = amoebas.fiber._solve(f, w, False)
+    next(solve)
+    try:
+        return solve.send([clusters])
+    except DegenerateFiber as exc:
+        return exc
 
 
 def test_vanished_slice_on_the_unit_circle_is_a_full_circle():
     # an exact resultant cluster at t1 = 1 over w1 = 0: g vanishes on the
     # line t1 = 1, which lies on the torus
-    out = staged_fiber(parse_poly(LINE_TIMES_LINE, 2), (0.0, 0.3), [RootCluster(1.0, 2, 0.0)])
+    out = backsub_slices(parse_poly(LINE_TIMES_LINE, 2), (0.0, 0.3), [RootCluster(1.0, 2)])
     assert isinstance(out, DegenerateFiber)
 
 
@@ -432,8 +438,8 @@ def test_vanished_slices_of_a_root_pair_off_the_circle_are_skipped():
     # the unit band: g and its mirror vanish on both lines, neither of
     # which meets the torus, and the line factor keeps its two points
     f = parse_poly("(z1^2 - 2.0000990099009901*z1 + 1)*(1 + z1 + z2)", 2)
-    pair = [RootCluster(1.01, 2, 0.0), RootCluster(1.0 / 1.01, 2, 0.0)]
-    assert staged_fiber(f, (0.0, 0.0), pair) == []
+    pair = [RootCluster(1.01, 2), RootCluster(1.0 / 1.01, 2)]
+    assert backsub_slices(f, (0.0, 0.0), pair) == []
     line = fiber_solutions(parse_poly("1 + z1 + z2", 2), (0.0, 0.0))
     sols = fiber_solutions(f, (0.0, 0.0))
     assert len(sols) == len(line) == 2
@@ -466,6 +472,39 @@ def test_a_t2_free_factor_off_the_circle_keeps_the_isolated_points(w2):
         assert (s.multiplicity, s.critical) == (t.multiplicity, t.critical)
 
 
+def swap_variables(text):
+    """The z1-z2-swapped curve's text."""
+    return text.replace("z1", "zz").replace("z2", "z1").replace("zz", "z2")
+
+
+@pytest.mark.parametrize("text", [
+    "(z2 - 2)*(z2 - 0.5)*(1 + z1 + z2)",
+    "(z2 - 2)*(z2 - 0.5)*(3 + z1 + z2)",
+    "(z2 - 1)*(1 + z2 + z1)",
+    "(z2 + 1)*(z2 - 3)*(1 + z2 + z1)",
+])
+@pytest.mark.parametrize("w", [(0.0, 0.0), (0.5, 0.0), (-0.3, 0.0), (0.2, 0.3)])
+def test_a_factor_in_t2_alone_answers_as_the_swapped_curve(text, w):
+    # over w2 = 0 a factor of g in t2 alone with the root pair 2, 1/2 or a
+    # root on |t| = 1 divides g's mirror, so the resultant that eliminates t2
+    # vanishes identically; eliminating t1 instead answers as the swapped
+    # curve does, with the phases swapped back
+    got = classify(parse_poly(text, 2), w)
+    want = classify(parse_poly(swap_variables(text), 2), w[::-1])
+    assert (got.tag, len(got.solutions)) == (want.tag, len(want.solutions))
+    expected = sorted(s.phi[::-1] for s in want.solutions)
+    for s, phi in zip(got.solutions, expected):
+        assert angdist(s.phi[0], phi[0]) < 1e-9 and angdist(s.phi[1], phi[1]) < 1e-9
+
+
+def test_a_factor_shared_in_two_variables_stays_degenerate():
+    # a multiple of its own mirror at (0, 0), so both resultants vanish and
+    # the point stays Degenerate, although neither factor meets that torus:
+    # a known miss, since telling so needs a gcd
+    f = parse_poly("(z1 + z2 + 2.5)*(z1 + z2 + 2.5*z1*z2)", 2)
+    assert classify(f, (0.0, 0.0)).tag == "Degenerate"
+
+
 @pytest.mark.parametrize("text, checked", [
     (LINE_TIMES_LINE, True),
     ("(z1 - 2)*(1 + z1 + z2)", True),
@@ -476,8 +515,8 @@ def test_a_t2_free_factor_off_the_circle_keeps_the_isolated_points(w2):
 def test_the_column_check_runs_only_for_curves_without_a_one_term_column(
         monkeypatch, text, checked):
     calls = []
-    real = amoebas.fiber._eliminate
-    monkeypatch.setattr(amoebas.fiber, "_eliminate",
+    real = amoebas.fiber._solve
+    monkeypatch.setattr(amoebas.fiber, "_solve",
                         lambda f, w, columns: calls.append(columns) or real(f, w, columns))
     list(amoebas.fiber._fibers(parse_poly(text, 2), [(0.3, 0.2), (-0.4, 0.1)]))
     assert calls == [checked] * 2
@@ -516,6 +555,19 @@ def slow_batch(monkeypatch, which):
     return calls
 
 
+def test_the_driver_batches_every_request(monkeypatch):
+    # six fibers of a curve with the column check: one root finder call for
+    # the columns, one for the resultants and one for the slices
+    calls = []
+    real = amoebas.fiber._roots_batch
+    monkeypatch.setattr(amoebas.fiber, "_roots_batch",
+                        lambda polys: calls.append(len(polys)) or real(polys))
+    ws = [(0.3 + 0.01 * k, 0.2) for k in range(6)]
+    solved = list(amoebas.fiber._fibers(parse_poly(LINE_TIMES_LINE, 2), ws))
+    assert [n for n in calls if n] == [6, 6, 12]
+    assert [(pc.tag, len(pc.solutions)) for pc in solved] == [("Interior", 2)] * 6
+
+
 @pytest.mark.parametrize("which", [1, 2], ids=["resultant", "backsub"])
 def test_unconverged_root_at_either_stage_raises(monkeypatch, which):
     calls = slow_batch(monkeypatch, which)
@@ -533,7 +585,7 @@ def test_unconverged_root_off_the_circle_raises(monkeypatch):
     f = parse_poly("z1^3 + z2^3 + z1*z2 + 1", 2)
     assert classify(f, (0.0, 0.0)).tag == "Boundary"
     monkeypatch.setattr(amoebas.numeric, "ABERTH_SWEEPS", 1)
-    found = roots(amoebas.fiber._eliminate(f, (0.0, 0.0))[1])
+    found = roots(next(amoebas.fiber._solve(f, (0.0, 0.0), False))[0])
     assert found and not any(cl.converged for cl in found)
     assert all(abs(abs(cl.center) - 1.0) > UNIT_BAND for cl in found)
     with pytest.raises(NoConvergence):

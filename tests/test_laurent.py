@@ -18,9 +18,24 @@ from amoebas import (
     newton_polytope,
     order,
     parse_poly,
+    trace_contour,
 )
 from amoebas.fiber import _eval_bi
 from amoebas.laurent import _dense
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: LaurentPoly(0, {}), "need at least one variable"),
+    (lambda: LaurentPoly(2, {(1, 2, 3): 1.0}), "wrong arity"),
+    (lambda: evaluate(parse_poly("1 + z1 + z2", 2), (1.0,)), "point has wrong arity"),
+    (lambda: newton_polytope(parse_poly("0", 2)), "no Newton polytope"),
+    (lambda: newton_polytope(parse_poly("1 + z1 + z2 + z3", 3)), "n <= 2"),
+    (lambda: trace_contour(parse_poly("1 + z1 + z2", 2), 0), "at least one slice"),
+], ids=["no-variables", "exponent-arity", "point-arity", "zero-polytope", "three-variable-polytope",
+        "no-slices"])
+def test_malformed_arguments_are_value_errors(call, says):
+    with pytest.raises(ValueError, match=says):
+        call()
 
 
 def test_terms_are_normalized_and_hashable_exponents():

@@ -249,6 +249,18 @@ def test_removing_a_member_breaks_the_point_intersection():
         assert off > 1e-6
 
 
+def test_a_member_whose_amoeba_misses_log_v_fails_axiom_one():
+    # g0 with its z2 coefficient 1.5e-9 short still vanishes at v within
+    # 1e-9 of its term sum, but its constant term outweighs the others at
+    # Log|v| by more than the 1e-9 Complement edge
+    basis = amoeba_basis(REFERENCE)
+    g0 = LaurentPoly(2, {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5 - 1.5e-9})
+    broken = AmoebaBasis((g0,) + basis.polys[1:], basis.witness)
+    with pytest.raises(AxiomFailure, match=r"axiom 1: Log\|v\| escapes member 0") as err:
+        verify_basis(broken, samples=10)
+    assert (err.value.axiom, err.value.witness) == (1, basis.log_point)
+
+
 def test_perturbed_member_fails_axiom_one():
     basis = amoeba_basis([[0.5, 0.5], [2.0, -1.0]])
     bad = dict(basis.polys[0].terms)

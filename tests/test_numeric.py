@@ -98,7 +98,6 @@ def test_roots_at_origin_exact():
     cls = roots(UniPoly([0.0, 0.0, 0.0, -5.0, 1.0]))
     zero = next(cl for cl in cls if cl.center == 0)
     assert zero.multiplicity == 3
-    assert zero.radius == 0.0
 
 
 def test_roots_zero_polynomial_rejected():
@@ -123,8 +122,7 @@ def test_roots_huge_degree_gap_stays_finite():
 def cluster_bits(clusters):
     """Every field of every cluster, floats as exact hex strings."""
     return [
-        (cl.center.real.hex(), cl.center.imag.hex(), cl.multiplicity,
-         cl.radius.hex(), cl.converged)
+        (cl.center.real.hex(), cl.center.imag.hex(), cl.multiplicity, cl.converged)
         for cl in clusters
     ]
 
@@ -204,10 +202,7 @@ def union_find_clusters(z, flags, incl):
         groups.setdefault(find(i), []).append(i)
     clusters = []
     for members in groups.values():
-        pts = z[members]
-        center = pts.mean()
-        radius = float(np.max(np.abs(pts - center))) if len(members) > 1 else 0.0
-        clusters.append(RootCluster(center, len(members), radius, bool(flags[members].all())))
+        clusters.append(RootCluster(z[members].mean(), len(members), bool(flags[members].all())))
     clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
     return clusters
 
@@ -427,7 +422,7 @@ def test_stacked_horner_matches_three_horner_calls():
 
 
 def test_root_cluster_repr_mentions_multiplicity():
-    cl = RootCluster(1 + 1j, 2, 1e-9)
+    cl = RootCluster(1 + 1j, 2)
     assert "2" in repr(cl)
 
 

@@ -140,6 +140,10 @@ def test_format_then_parse_is_exact():
     assert dict(again.terms) == dict(f.terms)
 
 
+def test_the_zero_polynomial_formats_as_zero():
+    assert format_poly(parse_poly("0", 2)) == "0"
+
+
 def test_random_round_trips():
     # format -> parse must reproduce terms exactly (bit-for-bit on the
     # coefficients, which format_poly renders with repr precision)
