@@ -79,24 +79,17 @@ def _g12(x):
 
 
 def _json_text(obj):
-    """Serialize with fixed float formatting and preserved key order."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
+    """Serialize with fixed float formatting and preserved key order; json.dumps
+    writes every other leaf (None, bool, int, str) and refuses the rest (TypeError)."""
     if isinstance(obj, float):
         return _g12(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ", ".join(
             f"{json.dumps(k)}: {_json_text(v)}" for k, v in obj.items()
         ) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return json.dumps(obj)
 
 
 def _emit(obj):

@@ -254,45 +254,48 @@ def _solve(f, w, columns):
     ``columns``, the column check ``_columns``; the resultant of g with its
     mirror g* in t1, whose clusters are merged and kept within UNIT_BAND
     of |t| = 1; their slices (``_torus_slices``); and ``_solutions``.  A
-    resultant that vanishes identically means that g and g* share a
-    factor.  For a g in t2 alone that is a root on |t| = 1
-    (DegenerateFiber, within UNIT_ROOT_TOL) or a pair r, 1/conj(r) of one
-    argument (Complement), told apart by the roots of g.  For a bivariate
-    g it may be a factor in t2 alone, so g is transposed and t1 eliminated
-    instead, after its own column check: the solve is then the
-    z1-z2-swapped curve's, with the phases swapped back.  The fiber is
-    DegenerateFiber when both resultants vanish.
+    resultant that vanishes identically means that g and g* share a factor
+    in t2.  The roots of g at a generic t1 whose slices vanish are g's
+    factors in t2 alone, each as often as g holds it: one on |t| = 1 is a
+    full circle (DegenerateFiber), the rest miss the torus and are divided
+    out, and the quotient is solved from the top, its candidates polished
+    on g.  A g in one variable is one such factor.  Without one, the shared
+    factor is bivariate: DegenerateFiber.
     """
-    gb, _ = fiber_restrict(f, w)
-    if gb.shape[1] == 1:
-        gb = gb.T
-    mods = np.abs(gb)
-    coeff_sum = float(mods.sum())
-    # lopsided shortcut: one coefficient outweighing the rest rules out
-    # torus zeros outright, no resultant needed
-    if 2.0 * float(mods.max()) > coeff_sum * (1.0 + 1e-9):
-        return PointClass("Complement")
-    if columns:
-        yield from _columns(gb, coeff_sum)
-    res = _mirror_resultant(gb)
-    swap = res is None and gb.shape[0] > 1
-    if swap:
-        gb = gb.T
-        yield from _columns(gb, coeff_sum)
-        res = _mirror_resultant(gb)
-    elif res is None:
-        (found,) = yield [gb[0]]
-        if not any(abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL for cl in found):
+    g, _ = fiber_restrict(f, w)
+    gb = g
+    while True:
+        if gb.shape[1] == 1:
+            g, gb = g.T, gb.T
+        mods = np.abs(gb)
+        coeff_sum = float(mods.sum())
+        # lopsided shortcut: one coefficient outweighing the rest rules out
+        # torus zeros outright, no resultant needed
+        if 2.0 * float(mods.max()) > coeff_sum * (1.0 + 1e-9):
             return PointClass("Complement")
-    if res is None:
-        raise DegenerateFiber("fiber shares a component with the variety")
+        if columns:
+            yield from _columns(gb, coeff_sum)
+        res = _mirror_resultant(gb)
+        if res is not None:
+            break
+        # the slice at a generic t1 holds each factor of g in t2 alone as often as g
+        # does; a row of g, the coefficient of one power of t1, may hold it more often
+        (found,) = yield [np.exp(1j * _exponents(gb.shape[0])) @ gb]
+        slices = _torus_slices(gb.T, coeff_sum, [cl.center for cl in found])
+        factors = [cl for cl, s in zip(found, slices) if s is None]
+        if not factors:
+            raise DegenerateFiber("fiber shares a component with the variety")
+        divisor = np.poly([cl.center for cl in factors for _ in range(cl.multiplicity)])
+        gb = np.array([np.polydiv(row[::-1], divisor)[0][::-1] for row in gb])
     (found,) = yield [res]
     heads = [(ci, m, t1) for ci, (t1, m) in enumerate(_merge_near_unit(found))
              if abs(abs(t1) - 1.0) <= UNIT_BAND]
     slices = _torus_slices(gb, coeff_sum, [t1 for _, _, t1 in heads])
     kept = [(head, s) for head, s in zip(heads, slices) if s is not None]
     found = yield [s for _, s in kept]
-    return _solutions(gb, coeff_sum, [head for head, _ in kept], found, swap)
+    # the quotient's candidates are polished on g itself, whose coefficients are exact
+    g_sum = coeff_sum if g is gb else float(np.abs(g).sum())
+    return _solutions(g, g_sum, [head for head, _ in kept], found)
 
 
 def _mirror_resultant(gb):
@@ -318,21 +321,19 @@ def _torus_slices(gb, coeff_sum, t1s):
     farther off, the line t1 = c misses the torus."""
     slices = [_slice(gb, coeff_sum, t1) for t1 in t1s]
     if any(s is None and abs(abs(t1) - 1.0) < UNIT_ROOT_TOL for t1, s in zip(t1s, slices)):
-        raise DegenerateFiber("restriction has a t2-free factor with a unit root: "
-                              "the fiber meets the variety in full circles")
+        raise DegenerateFiber("restriction has a factor in one torus variable with a unit "
+                              "root: the fiber meets the variety in full circles")
     return slices
 
 
-def _solutions(gb, coeff_sum, heads, found, swap):
+def _solutions(gb, coeff_sum, heads, found):
     """Polish the torus candidates of one fiber, group them into solutions, and tag w.
 
     ``found`` holds the root clusters of the slice at each (cluster id,
-    multiplicity, t1) of ``heads``; with ``swap``, g is the transposed
-    restriction and each solution's phases and Gauss numerators are swapped
-    back.  Returns the PointClass of w, its solutions sorted by phi: no
-    solution is Complement, all critical is Boundary (with the caveat when
-    their Gauss directions spread beyond DIRECTION_TOL), some critical is
-    ContourInterior, none is Interior.
+    multiplicity, t1) of ``heads``.  Returns the PointClass of w, its
+    solutions sorted by phi: no solution is Complement, all critical is
+    Boundary (with the caveat when their Gauss directions spread beyond
+    DIRECTION_TOL), some critical is ContourInterior, none is Interior.
     """
     tau = 2.0 * math.pi
     cands = []  # (phi, score, g1, g2, (cluster_id, multiplicity))
@@ -356,8 +357,6 @@ def _solutions(gb, coeff_sum, heads, found, swap):
                 break
         else:
             groups.append([phi, score, g1, g2, {cl}])
-    if swap:
-        groups = [[phi[::-1], score, g2, g1, cls] for phi, score, g1, g2, cls in groups]
 
     # Local intersection multiplicity: a resultant cluster of size m that
     # feeds k distinct torus points certifies multiplicity m/k on each of

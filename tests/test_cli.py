@@ -259,6 +259,9 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
         (("basis", "--linear", "1,2;3"), 2, "coefficient matrix must be square"),
         (("basis", "--linear", "1,x;3,4"), 2, "bad matrix entry"),
         (("classify", "--poly", "z²+1", "--point", "0,0"), 2, "expected digit after 'z'"),
+        (("fiber", "--poly", "z1 - 2", "--point", "0.6931471805599453,0"), 3,
+         "restriction has a factor in one torus variable with a unit root: "
+         "the fiber meets the variety in full circles"),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
@@ -270,7 +273,7 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "short-window", "malformed-slices", "malformed-samples", "malformed-box",
          "exponent-ceiling", "infinite-literal", "overflowing-sum", "abs-zero",
          "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix",
-         "non-decimal-digit"],
+         "non-decimal-digit", "unit-root-factor"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
                                                   expected, says):

@@ -1,6 +1,7 @@
 """Fiber-torus membership, classification, order, and lopsidedness."""
 
 import cmath
+import collections
 import functools
 import math
 import random
@@ -150,6 +151,26 @@ def test_deltoid_family_fiber_is_z3_symmetric(k, r):
     # the fiber over the origin comes in orbits of three
     pc = deltoid_class(k, r)
     assert pc.tag == "Complement" or len(pc.solutions) % 3 == 0, pc
+
+
+# the cusp c = -3 is (z1 + z2 + 1)(z1 + w z2 + w^2)(z1 + w^2 z2 + w), w^3 = 1,
+# and its factor 1 + z1 + z2 meets the fibers near the origin
+CUSP_RING = [(0.0, 1e-3), (0.0, -1e-3), (0.0, 3e-4), (0.0, -3e-4)]
+
+
+@pytest.mark.parametrize("w", CUSP_RING)
+def test_the_deltoid_cusp_near_the_origin_has_torus_zeros(w):
+    f = parse_poly("z1^3 + z2^3 - 3*z1*z2 + 1", 2)
+    assert classify(parse_poly("1 + z1 + z2", 2), w).tag == "Interior"
+    assert torus_min_modulus(list(f.terms.items()), w) < 1e-14
+
+
+# see the FOUND line on the deltoid cusp ring in CHANGES.md
+@pytest.mark.xfail(strict=True, reason="_merge_near_unit fuses distinct resultant "
+                   "roots near the cusp")
+@pytest.mark.parametrize("w", CUSP_RING)
+def test_the_deltoid_cusp_near_the_origin_is_not_complement(w):
+    assert classify(parse_poly("z1^3 + z2^3 - 3*z1*z2 + 1", 2), w).tag != "Complement"
 
 
 def test_quadnomial_interior_and_complement():
@@ -487,8 +508,8 @@ def swap_variables(text):
 def test_a_factor_in_t2_alone_answers_as_the_swapped_curve(text, w):
     # over w2 = 0 a factor of g in t2 alone with the root pair 2, 1/2 or a
     # root on |t| = 1 divides g's mirror, so the resultant that eliminates t2
-    # vanishes identically; eliminating t1 instead answers as the swapped
-    # curve does, with the phases swapped back
+    # vanishes identically; a root on |t| = 1 is a full circle, and the pair
+    # is divided out of g, which answers as the swapped curve does
     got = classify(parse_poly(text, 2), w)
     want = classify(parse_poly(swap_variables(text), 2), w[::-1])
     assert (got.tag, len(got.solutions)) == (want.tag, len(want.solutions))
@@ -498,11 +519,85 @@ def test_a_factor_in_t2_alone_answers_as_the_swapped_curve(text, w):
 
 
 def test_a_factor_shared_in_two_variables_stays_degenerate():
-    # a multiple of its own mirror at (0, 0), so both resultants vanish and
-    # the point stays Degenerate, although neither factor meets that torus:
-    # a known miss, since telling so needs a gcd
+    # a multiple of its own mirror at (0, 0), so the resultant vanishes, and
+    # g has no factor in t2 alone to divide out; the point stays Degenerate,
+    # although neither factor meets that torus: a known miss, since telling
+    # so needs a gcd
     f = parse_poly("(z1 + z2 + 2.5)*(z1 + z2 + 2.5*z1*z2)", 2)
     assert classify(f, (0.0, 0.0)).tag == "Degenerate"
+
+
+def assert_same_fiber(got, want, tol=1e-9):
+    """The two PointClass answers agree in tag, count and, within tol, every solution's phases."""
+    assert (got.tag, len(got.solutions)) == (want.tag, len(want.solutions)), (got, want)
+    for s, t in zip(got.solutions, want.solutions):
+        assert angdist(s.phi[0], t.phi[0]) < tol and angdist(s.phi[1], t.phi[1]) < tol, (s, t)
+        assert (s.multiplicity, s.critical) == (t.multiplicity, t.critical), (s, t)
+
+
+LINE = "1 + z1 + z2"
+
+
+@pytest.mark.parametrize("text", [
+    # a pair 2, 1/2 in each variable: the z2 pair is divided out, and the z1
+    # pair, a t2-free factor, leaves the resultant of the quotient nonzero
+    f"(z1 - 2)*(z1 - 0.5)*(z2 - 2)*(z2 - 0.5)*({LINE})",
+    # each root twice: divided out as often as g holds it
+    f"(z2 - 2)*(z2 - 2)*(z2 - 0.5)*(z2 - 0.5)*({LINE})",
+    f"(z2 - 2)*(z2 - 2)*(z2 - 2)*(z2 - 0.5)*(z2 - 0.5)*(z2 - 0.5)*({LINE})",
+])
+def test_factors_in_t2_alone_divide_out_of_the_fiber(text):
+    assert_same_fiber(classify(parse_poly(text, 2), (0.0, 0.0)),
+                      classify(parse_poly(LINE, 2), (0.0, 0.0)))
+
+
+def test_factors_are_counted_in_g_not_in_one_row():
+    # the coefficient of z1^0 holds each of 2 and 1/2 twice, g once each;
+    # each is found, and divided out, as often as g holds it
+    cofactor = "(z2 - 2)*(z2 - 0.5) + z1*(z2 + 0.5)*(z2 + 1)"
+    for w in [(0.0, 0.0), (0.3, 0.0), (-0.2, 0.0)]:
+        want = classify(parse_poly(cofactor, 2), w)
+        assert want.tag == "Interior"
+        assert_same_fiber(classify(parse_poly(f"(z2 - 2)*(z2 - 0.5)*({cofactor})", 2), w), want)
+
+
+@pytest.mark.parametrize("text", [
+    "(z2 - 2)*(z2 - 0.5)*(z1 - 3)",
+    # the quotient z1^3 - z1^2 - 2.75 z1 + 1.5 is not lopsided, and its own
+    # pair 2, 1/2 is divided out after the transpose
+    "(z2 - 2)*(z2 - 0.5)*(z1^3 - z1^2 - 2.75*z1 + 1.5)",
+])
+def test_a_quotient_without_t2_is_solved_transposed(text):
+    assert classify(parse_poly(text, 2), (0.0, 0.0)).tag == "Complement"
+
+
+@pytest.mark.parametrize("row0_shares", [False, True], ids=["generic", "row0-shares-a-root"])
+def test_root_pairs_in_t2_alone_leave_the_cofactor_fiber(row0_shares):
+    # g = P(z2) h, where P holds a root pair r, 1/conj(r), each of
+    # multiplicity 1-3, so that over w2 = 0 g is a multiple of its own
+    # mirror; the fiber of g is the fiber of h.  With row0_shares, h's
+    # coefficient of z1^0 holds one root of the pair once more than g does.
+    rng = random.Random(20261021)
+    tags = collections.Counter()
+    for k in range(150):
+        d1, d2 = rng.randint(1, 2), rng.randint(1, 2)
+        h = np.array([[complex(round(rng.uniform(-2, 2), 2), round(rng.uniform(-2, 2), 2) * (k % 2))
+                       for _ in range(d2 + 1)] for _ in range(d1 + 1)])
+        if k % 5 == 0:
+            r = rng.choice([2, 3, -2, 0.5, 1.5, -1.25, 4])
+        else:
+            r = cmath.rect(math.exp(rng.choice((-1, 1)) * rng.uniform(0.05, 1.2)),
+                           rng.uniform(0, TAU) * (k % 3 > 0))
+        pair = [r] * rng.randint(1, 3) + [1 / np.conj(r)] * rng.randint(1, 3)
+        if row0_shares:
+            h[0] = np.convolve(h[0][:-1], [-pair[0] if k % 2 else -pair[-1], 1])
+        g = np.array([np.convolve(row, np.poly(pair)[::-1]) for row in h])
+        w = (round(rng.uniform(-0.6, 0.6), 3), 0.0)
+        got, want = (classify(LaurentPoly(2, {(i, j): complex(c) for (i, j), c in np.ndenumerate(b)
+                                              if c != 0}), w) for b in (g, h))
+        assert_same_fiber(got, want, tol=1e-6)
+        tags[got.tag] += 1
+    assert set(tags) == {"Complement", "Interior"}
 
 
 @pytest.mark.parametrize("text, checked", [
