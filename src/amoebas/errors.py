@@ -44,14 +44,14 @@ class ZeroCoordinate(AmoebaError):
 
 
 class Overflow(AmoebaError):
-    """Exponent data exceeds the representable range even after normalization."""
+    """Exponent or degree data exceeds what the program can represent or hold."""
     exit_code = 3
 
 
 # ---------------------------------------------------------- numeric kernel
 
 class SingularMatrix(AmoebaError):
-    """A pivot fell below the singularity threshold during elimination."""
+    """A matrix is singular: its smallest singular value is at most 1e-12 times its largest."""
     exit_code = 3
 
 

@@ -547,7 +547,8 @@ def order(f, w):
     NoConvergence
         If a slice root did not converge.
     Overflow
-        If w is non-finite or some <alpha, w> is not representable.
+        If w is non-finite, some <alpha, w> is not representable, or a slice
+        has a degree above the root finder's ceiling.
     """
     if not f.terms:
         raise DegenerateFiber("zero polynomial vanishes on every fiber")

@@ -147,7 +147,7 @@ def amoeba_basis(a):
     ValueError
         Unless ``a`` is a square matrix with n >= 2.
     SingularMatrix
-        If an LU pivot drops below threshold: no single common zero.
+        If the matrix is singular (``solve_linear``): no single common zero.
     ZeroCoordinate
         If some v_k vanishes; the phase factors are undefined then.
     AxiomFailure

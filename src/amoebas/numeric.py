@@ -1,9 +1,9 @@
 """Numeric kernel for the torus computations (``laurent`` lends it the hull, ``_chain``).
 
 Univariate dense polynomials over C, a simultaneous (Aberth-Ehrlich) root
-finder with cluster-based multiplicities, a partial-pivot LU linear solve,
-and the Sylvester resultant of two bivariate polynomials computed by
-evaluation and interpolation on a circle of nodes.
+finder with cluster-based multiplicities, a linear solve that rejects
+near-singular systems, and the Sylvester resultant of two bivariate
+polynomials computed by evaluation and interpolation on a circle of nodes.
 
 The root finder is batched: ``_roots_batch`` stacks the polynomials that
 share a degree and runs one Aberth-Ehrlich iteration over the whole stack,
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import IdenticallyZero, NoConvergence, SingularMatrix
+from .errors import IdenticallyZero, NoConvergence, Overflow, SingularMatrix
 from .laurent import _chain
 
 EPS = 2.0**-53
@@ -41,10 +41,17 @@ TRIM_REL = 1e-13
 # Aberth-Ehrlich sweeps before the remaining roots count as unconverged
 ABERTH_SWEEPS = 500
 
-# at most this many root pairs (rows x degree^2) per Aberth batch, which bounds
-# the difference matrix at 1 MB and the Horner levels (_levels) at 3 MB;
-# splitting a batch changes no bit
+# at most this many root pairs (rows x degree^2) per Aberth batch: 1 MB of root
+# differences and 3 MB of Horner levels (_levels) up to degree 256, and one row,
+# bounded by _MAX_ROOT_DEGREE, above it.  Splitting a batch changes no bit
 _BATCH_PAIRS = 1 << 16
+
+# ceiling on the degree of a polynomial whose roots are sought, and of a
+# resultant.  A degree-d Aberth run holds about 4 d^2 complex numbers (levels
+# 3 d^2, differences d^2): classify on z1^500*z2 + z2 + 1 at (0, 0), whose
+# resultant has degree 1,000, peaks at 105 MB under tracemalloc.  The Sylvester
+# matrices at a resultant's nodes are held to 4 x 1,000^2 entries too, 64 MB
+_MAX_ROOT_DEGREE = 1000
 
 
 def _horner(c, x):
@@ -321,6 +328,9 @@ def _roots_batch(polys):
     ------
     ValueError
         If some input is the zero polynomial.
+    Overflow
+        If some input's degree, less its roots at the origin, is above
+        _MAX_ROOT_DEGREE.
     """
     out = []
     by_degree = {}  # trimmed degree -> [(input index, coefficients)]
@@ -337,6 +347,9 @@ def _roots_batch(polys):
         while at_zero < c.size - 1 and c[at_zero] == 0:
             at_zero += 1
         c = c[at_zero:]
+        if c.size - 1 > _MAX_ROOT_DEGREE:
+            raise Overflow(f"a polynomial of degree {c.size - 1} is above the root "
+                           f"finder's ceiling {_MAX_ROOT_DEGREE}")
         out.append([RootCluster(0j, at_zero)] if at_zero else [])
         if c.size > 1:
             by_degree.setdefault(c.size - 1, []).append((k, c))
@@ -375,6 +388,8 @@ def roots(p):
     ------
     ValueError
         If p is the zero polynomial (every point would be a root).
+    Overflow
+        As ``_roots_batch``.
     """
     return _roots_batch([p])[0]
 
@@ -384,52 +399,29 @@ def roots(p):
 # --------------------------------------------------------------------------
 
 def solve_linear(a, b):
-    """Solve a x = b for a vector b, rejecting near-singular systems.
+    """Solve a x = b for a vector b with numpy's LAPACK solver, rejecting singular a.
 
-    One LU factorization with partial pivoting, pivoting as LAPACK's
-    ``zgetrf`` does: the first row with the largest ``|re| + |im|`` in the
-    column, and no elimination below an exactly zero pivot.  All pivots
-    are formed before any is checked, and the same factors then give x by
-    forward and back substitution.
+    a is singular when its smallest singular value is not above 1e-12 times its
+    largest (a zero matrix too), which no reordering of its rows or columns changes.
 
     Raises
     ------
     SingularMatrix
-        If some LU pivot has modulus below 1e-12 times the matrix scale.
+        If a is singular.
     ValueError
-        If a is not square, b is not a vector of its size, or either holds an
-        inf or a NaN.
+        If a is not square, b is not a vector of its size, or either is not finite.
     """
-    lu = np.array(a, dtype=complex)
-    x = np.array(b, dtype=complex)
-    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
-    n = lu.shape[0]
-    if x.shape != (n,):
+    if b.shape != (a.shape[0],):
         raise ValueError("right-hand side does not match the matrix")
-    if not (np.isfinite(lu).all() and np.isfinite(x).all()):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    scale = float(np.max(np.abs(lu))) if lu.size else 0.0
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    for k in range(n):
-        col = lu[k:, k]
-        p = k + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        if lu[k, k] != 0:
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    pivots = np.abs(np.diagonal(lu))
-    if np.any(pivots < 1e-12 * scale):
-        raise SingularMatrix(f"pivot {pivots.min():.3e} below 1e-12 x scale {scale:.3e}")
-    for k in range(n):
-        x[k + 1:] -= lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] /= lu[k, k]
-        x[:k] -= lu[:k, k] * x[k]
-    return x
+    sv = np.linalg.svd(a, compute_uv=False).tolist() or [0.0]  # descending
+    if not sv[-1] > 1e-12 * sv[0]:
+        raise SingularMatrix(f"least singular value {sv[-1]:.3e} not above 1e-12 x {sv[0]:.3e}")
+    return np.linalg.solve(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -496,6 +488,8 @@ def sylvester_resultant(g, h):
     NoConvergence
         If the interpolated resultant misses the direct determinant at the
         probe point by 1e-6 (relative) or more at all three radii.
+    Overflow
+        If D or the D+1 Sylvester matrices are above their ceilings (_MAX_ROOT_DEGREE).
     """
     gb = np.asarray(g, dtype=complex)
     hb = np.asarray(h, dtype=complex)
@@ -505,6 +499,9 @@ def sylvester_resultant(g, h):
     d1h, d2h = hb.shape[0] - 1, hb.shape[1] - 1
     dd = d1g * d2h + d1h * d2g
     kk = dd + 1
+    if dd > _MAX_ROOT_DEGREE or kk * (d2g + d2h) ** 2 > 4 * _MAX_ROOT_DEGREE ** 2:
+        raise Overflow(f"resultant too large: degree {dd} (ceiling {_MAX_ROOT_DEGREE}), "
+                       f"{kk} Sylvester matrices of order {d2g + d2h}")
     # self-check: the direct determinant at a probe point, against the
     # interpolated value there
     probe = 0.83 + 0.31j

@@ -262,6 +262,10 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
         (("fiber", "--poly", "z1 - 2", "--point", "0.6931471805599453,0"), 3,
          "restriction has a factor in one torus variable with a unit root: "
          "the fiber meets the variety in full circles"),
+        (("contour", "--poly", CUBIC, "--slices", "100001"), 2,
+         "--slices: must be at most 100000, got 100001"),
+        (("classify", "--poly", "z1^5000*z2 + z2 + 1", "--point", "0,0"), 3,
+         "resultant too large: degree 10000 (ceiling 1000)"),
     ],
     ids=["nan-matrix", "1x1-matrix", "classify-3d", "member-3d", "fiber-3d", "monomial",
          "zero-poly", "contour-0-slices", "boundary-0-slices", "negative-samples",
@@ -273,7 +277,7 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "short-window", "malformed-slices", "malformed-samples", "malformed-box",
          "exponent-ceiling", "infinite-literal", "overflowing-sum", "abs-zero",
          "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix",
-         "non-decimal-digit", "unit-root-factor"],
+         "non-decimal-digit", "unit-root-factor", "slices-above-cap", "degree-ceiling"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
                                                   expected, says):

@@ -5,6 +5,7 @@ import collections
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,10 +126,13 @@ DELTOID_IDS = [f"k{k}-r{r}" for k, r in DELTOID]
 
 
 @functools.lru_cache(maxsize=None)
-def deltoid_class(k, r):
-    t = TAU * k / 12
+def deltoid_at(t, r):
     c = r * -(2.0 * cmath.exp(1j * t) + cmath.exp(-2j * t))
     return classify(LaurentPoly(2, {(3, 0): 1, (0, 3): 1, (1, 1): c, (0, 0): 1}), (0.0, 0.0))
+
+
+def deltoid_class(k, r):
+    return deltoid_at(TAU * k / 12, r)
 
 
 @pytest.mark.parametrize("k, r", DELTOID, ids=DELTOID_IDS)
@@ -171,6 +175,64 @@ def test_the_deltoid_cusp_near_the_origin_has_torus_zeros(w):
 @pytest.mark.parametrize("w", CUSP_RING)
 def test_the_deltoid_cusp_near_the_origin_is_not_complement(w):
     assert classify(parse_poly("z1^3 + z2^3 - 3*z1*z2 + 1", 2), w).tag != "Complement"
+
+
+def seeded_deltoid_parameters():
+    rng = random.Random(20261021)
+    return [rng.uniform(0.0, TAU) for _ in range(60)]
+
+
+DELTOID_SWEEP = seeded_deltoid_parameters()
+
+
+# off the deltoid every answer holds down to |r - 1| = 1e-4 inside and 1e-6
+# outside; at r = 1 - 1e-5 and 1 - 1e-6, 57 and 60 of the 60 answers are not
+# Interior, the resolution limit of the merge (ROADMAP item 3), so no test
+@pytest.mark.parametrize("r", [1 - 1e-2, 1 - 1e-3, 1 - 1e-4,
+                               1 + 1e-2, 1 + 1e-3, 1 + 1e-4, 1 + 1e-5, 1 + 1e-6])
+def test_seeded_deltoid_sweep_off_the_curve(r):
+    want = "Interior" if r < 1 else "Complement"
+    assert [deltoid_at(t, r).tag for t in DELTOID_SWEEP] == [want] * len(DELTOID_SWEEP)
+
+
+# the fiber over the origin is nine double points; at these nine t, away from the
+# cusps, some split into a critical and a non-critical half 4e-5 to 5e-4 apart:
+# ROADMAP item 3
+_SPLIT = pytest.mark.xfail(strict=True, reason="double points polish into two "
+                           "solutions farther apart than GROUP_RADIUS")
+
+
+@pytest.mark.parametrize("i", [
+    pytest.param(i, marks=[_SPLIT] if i in (5, 10, 26, 30, 33, 40, 44, 49, 55) else [],
+                 id=f"t{i}") for i in range(len(DELTOID_SWEEP))])
+def test_seeded_deltoid_sweep_on_the_curve(i):
+    assert deltoid_at(DELTOID_SWEEP[i], 1.0).tag == "Boundary"
+
+
+@pytest.mark.parametrize("text", ["z1^5000*z2 + z2 + 1", "z1*z2^500 + z2 + 1", "z2^5000 + 1"])
+def test_a_resultant_above_the_degree_ceiling_is_refused_at_once(text):
+    # the resultant's degree (10,000), or its 1,001 Sylvester matrices of order
+    # 1,000 (16 GB), or one of order 10,000 (1.6 GB): each is refused before it is
+    # built; measured peaks 0.05 to 0.4 MB
+    f = parse_poly(text, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Overflow, match="resultant too large"):
+            classify(f, (0.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_a_lopsided_point_of_a_curve_above_the_ceiling_still_answers():
+    assert classify(parse_poly("z1^5000*z2 + z2 + 1", 2), (0.01, 0.0)).tag == "Complement"
+
+
+def test_order_refuses_a_slice_above_the_degree_ceiling():
+    with pytest.raises(Overflow, match="degree 1001 is above the root finder's ceiling 1000"):
+        order(parse_poly("z1^1001 + 2", 2), (0.0, 0.0))
+    assert order(parse_poly("z1^1000 + 2", 2), (0.0, 0.0)) == (0, 0)
 
 
 def test_quadnomial_interior_and_complement():
