@@ -15,7 +15,6 @@ from .errors import (
     DegenerateFiber,
     DegenerateSlice,
     EmptyInput,
-    IdenticallyZero,
     InconsistentOrder,
     NoConvergence,
     NotLinear,
@@ -59,9 +58,8 @@ from .raster import (
 __all__ = [
     "__version__",
     "AmoebaError", "AxiomFailure", "DegenerateFiber", "DegenerateSlice",
-    "EmptyInput", "IdenticallyZero", "InconsistentOrder", "NoConvergence",
-    "NotLinear", "Overflow", "ParseError", "PolySyntaxError", "SingularMatrix",
-    "UnknownVariable", "ZeroCoordinate",
+    "EmptyInput", "InconsistentOrder", "NoConvergence", "NotLinear", "Overflow",
+    "ParseError", "PolySyntaxError", "SingularMatrix", "UnknownVariable", "ZeroCoordinate",
     "LaurentPoly", "NewtonPolytope",
     "evaluate", "fiber_restrict",
     "newton_polytope",

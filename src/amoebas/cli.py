@@ -139,6 +139,10 @@ def _window_arg(text):
     if not (x1 > x0 and y1 > y0):
         raise argparse.ArgumentTypeError(
             f"window must be min1,min2,max1,max2 with max > min, got {text}")
+    # the cell centres are spaced by the width and height, which must stay finite floats
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise argparse.ArgumentTypeError(
+            f"window must be min1,min2,max1,max2 with a finite float max - min, got {text}")
     return ((x0, y0), (x1, y1))
 
 

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DegenerateSlice, IdenticallyZero
+from .errors import DegenerateSlice
 from .fiber import (
     CRITICAL_TOL,
     RESIDUAL_REL,
@@ -133,12 +133,9 @@ def _solve(curve, theta):
     if direct:
         t1_poly = hb[:, 0]
     else:
-        try:
-            t1_poly = sylvester_resultant(gb, hb)
-        except IdenticallyZero as exc:
-            raise DegenerateSlice(
-                f"slice at theta={theta:.6f} shares a component with the variety"
-            ) from exc
+        t1_poly = sylvester_resultant(gb, hb)
+        if not t1_poly.coeffs.any():
+            raise DegenerateSlice(f"slice at theta={theta:.6f} shares a component with the variety")
     (found,) = yield [t1_poly]
     t1s = [cl.center for cl in found if not abs(cl.center) < TORUS_CUTOFF]
     slices = [_slice(gb, coeff_sum, t1) for t1 in t1s]

@@ -60,11 +60,6 @@ class NoConvergence(AmoebaError):
     exit_code = 4
 
 
-class IdenticallyZero(AmoebaError):
-    """A resultant vanished at every sample node (common component)."""
-    exit_code = 3
-
-
 # ------------------------------------------------------------ fiber oracle
 
 class DegenerateFiber(AmoebaError):
@@ -80,7 +75,8 @@ class InconsistentOrder(AmoebaError):
 # ----------------------------------------------------------- contour tracer
 
 class DegenerateSlice(AmoebaError):
-    """A contour slice produced an identically zero resultant."""
+    """A contour slice is not a finite point set: its Gauss combination vanished, its
+    resultant is the zero polynomial, or a back-substitution slice vanished."""
     exit_code = 3
 
 

@@ -20,13 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    AmoebaError,
-    DegenerateFiber,
-    IdenticallyZero,
-    InconsistentOrder,
-    NoConvergence,
-)
+from .errors import AmoebaError, DegenerateFiber, InconsistentOrder, NoConvergence
 from .laurent import _torus_moduli, fiber_restrict
 from .numeric import _roots_batch, sylvester_resultant
 from .numeric import roots  # noqa: F401  (bench/test_spans.py looks it up here)
@@ -50,7 +44,8 @@ CRITICAL_TOL = 1e-6
 # of multiple roots; the polished residual makes the actual decision
 UNIT_BAND = 0.02
 
-# a factor in one torus variable with a root this close to |t| = 1 is a full circle
+# a factor in one torus variable with a root this close to |t| = 1 is a full circle, and
+# a winding slice of ``order`` with a root this close to |u| = 1 puts w on the amoeba
 UNIT_ROOT_TOL = 1e-6
 
 # resultant clusters near |t| = 1 closer than this (relative) are merged
@@ -250,17 +245,16 @@ def _solve(f, w, columns):
 
     It yields a list of polynomials whenever it needs their roots and
     returns the PointClass of w.  The steps: the restriction g, transposed
-    when it lacks t2; the lopsided shortcut (Complement); with
-    ``columns``, the column check ``_columns``; the resultant of g with its
-    mirror g* in t1, whose clusters are merged and kept within UNIT_BAND
-    of |t| = 1; their slices (``_torus_slices``); and ``_solutions``.  A
-    resultant that vanishes identically means that g and g* share a factor
-    in t2.  The roots of g at a generic t1 whose slices vanish are g's
-    factors in t2 alone, each as often as g holds it: one on |t| = 1 is a
+    when it lacks t2; the lopsided shortcut (Complement); with ``columns``,
+    the factor step in t1; the resultant of g with its mirror g* in t1,
+    whose clusters are merged and kept within UNIT_BAND of |t| = 1; their
+    slices (``_torus_slices``); and ``_solutions``.  The factor step
+    (``_factors``) finds g's factors in one variable: one on |t| = 1 is a
     full circle (DegenerateFiber), the rest miss the torus and are divided
-    out, and the quotient is solved from the top, its candidates polished
-    on g.  A g in one variable is one such factor.  Without one, the shared
-    factor is bivariate: DegenerateFiber.
+    out (``_divided``), and the quotient is solved from the top, its
+    candidates polished on g.  A zero resultant means that g and g* share a
+    factor, and the step runs in t2; a g in one variable is one such factor.
+    Without a factor in t2 the shared factor is bivariate: DegenerateFiber.
     """
     g, _ = fiber_restrict(f, w)
     gb = g
@@ -273,20 +267,18 @@ def _solve(f, w, columns):
         # torus zeros outright, no resultant needed
         if 2.0 * float(mods.max()) > coeff_sum * (1.0 + 1e-9):
             return PointClass("Complement")
-        if columns:
-            yield from _columns(gb, coeff_sum)
-        res = _mirror_resultant(gb)
-        if res is not None:
+        if columns:  # once: dividing in t2 later leaves no factor in t1 alone
+            columns = False
+            if factors := (yield from _factors(gb, coeff_sum)):
+                gb = _divided(gb.T, factors).T
+                continue
+        res = sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
+        if res.coeffs.any():
             break
-        # the slice at a generic t1 holds each factor of g in t2 alone as often as g
-        # does; a row of g, the coefficient of one power of t1, may hold it more often
-        (found,) = yield [np.exp(1j * _exponents(gb.shape[0])) @ gb]
-        slices = _torus_slices(gb.T, coeff_sum, [cl.center for cl in found])
-        factors = [cl for cl, s in zip(found, slices) if s is None]
+        factors = yield from _factors(gb.T, coeff_sum)
         if not factors:
             raise DegenerateFiber("fiber shares a component with the variety")
-        divisor = np.poly([cl.center for cl in factors for _ in range(cl.multiplicity)])
-        gb = np.array([np.polydiv(row[::-1], divisor)[0][::-1] for row in gb])
+        gb = _divided(gb, factors)
     (found,) = yield [res]
     heads = [(ci, m, t1) for ci, (t1, m) in enumerate(_merge_near_unit(found))
              if abs(abs(t1) - 1.0) <= UNIT_BAND]
@@ -298,21 +290,19 @@ def _solve(f, w, columns):
     return _solutions(g, g_sum, [head for head, _ in kept], found)
 
 
-def _mirror_resultant(gb):
-    """The resultant of g with its mirror g* in t1, or None when it vanishes identically."""
-    try:
-        return sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
-    except IdenticallyZero:
-        return None
+def _factors(gb, coeff_sum):
+    """g's factors t1 - c in t1 alone, as root clusters, each as often as g holds it: the
+    roots c of g's slice at a generic t2 whose slices ``_torus_slices`` finds vanished.  A
+    column of g, the coefficient of one power of t2, may hold a factor more often."""
+    (found,) = yield [gb @ np.exp(1j * _exponents(gb.shape[1]))]
+    slices = _torus_slices(gb, coeff_sum, [cl.center for cl in found])
+    return [cl for cl, s in zip(found, slices) if s is None]
 
 
-def _columns(gb, coeff_sum):
-    """The column check: each root c of g's lowest-degree t2-coefficient column goes through
-    ``_torus_slices``.  A factor t1 - c of g makes c a root of every column, and the
-    resultant misses c when its multiple root there is off by 1e-10."""
-    low = min((col for col in gb.T if col.any()), key=lambda col: np.flatnonzero(col)[-1])
-    (found,) = yield [low]
-    _torus_slices(gb, coeff_sum, [cl.center for cl in found])
+def _divided(gb, factors):
+    """g with the factors in t2 alone (root clusters) divided out of each of its rows."""
+    divisor = np.poly([cl.center for cl in factors for _ in range(cl.multiplicity)])
+    return np.array([np.polydiv(row[::-1], divisor)[0][::-1] for row in gb])
 
 
 def _torus_slices(gb, coeff_sum, t1s):
@@ -542,8 +532,8 @@ def order(f, w):
     DegenerateFiber
         If f is the zero polynomial, which has no complement.
     InconsistentOrder
-        If the draws disagree; w is too close to the amoeba for the slice
-        count to be stable.
+        If the draws disagree, or a slice has a root within UNIT_ROOT_TOL of
+        |u| = 1; w is too close to the amoeba for the slice count to be stable.
     NoConvergence
         If a slice root did not converge.
     Overflow
@@ -568,9 +558,12 @@ def order(f, w):
     found = _roots_batch(polys)
     out = []
     for j in range(n):
-        mine = found[j * _ORDER_SAMPLES:(j + 1) * _ORDER_SAMPLES]
-        seen = {f.degree_span(j)[0] + sum(cl.multiplicity for cl in _converged(cls)
-                                          if abs(cl.center) < 1.0) for cls in mine}
+        mine = [_converged(cls) for cls in found[j * _ORDER_SAMPLES:(j + 1) * _ORDER_SAMPLES]]
+        if any(abs(abs(cl.center) - 1.0) < UNIT_ROOT_TOL for cls in mine for cl in cls):
+            raise InconsistentOrder(f"a winding slice for variable {j+1} has a root on |u| = 1: "
+                                    "w lies on the amoeba")
+        seen = {f.degree_span(j)[0] + sum(cl.multiplicity for cl in cls if abs(cl.center) < 1.0)
+                for cls in mine}
         if len(seen) != 1:
             raise InconsistentOrder(
                 f"winding count for variable {j+1} varies across angles: {sorted(seen)}"

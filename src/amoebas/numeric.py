@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import IdenticallyZero, NoConvergence, Overflow, SingularMatrix
+from .errors import NoConvergence, Overflow, SingularMatrix
 from .laurent import _chain
 
 EPS = 2.0**-53
@@ -478,13 +478,13 @@ def sylvester_resultant(g, h):
     Returns
     -------
     UniPoly
-        In t1, trailing coefficients below 1e-10 x max trimmed.
+        In t1, trailing coefficients below 1e-10 x max trimmed; the zero
+        polynomial ``UniPoly([0.0])`` when every sampled determinant is
+        below 1e-12 times its Hadamard bound (the two curves share a
+        component).
 
     Raises
     ------
-    IdenticallyZero
-        If every sampled determinant is below 1e-12 times its Hadamard
-        bound (the two curves share a component).
     NoConvergence
         If the interpolated resultant misses the direct determinant at the
         probe point by 1e-6 (relative) or more at all three radii.
@@ -515,7 +515,7 @@ def sylvester_resultant(g, h):
         bv = _vandermonde(kk, rho, hb.shape[0]) @ hb
         dets, had = _sylvester_batch(av, bv)
         if np.all(np.abs(dets) <= 1e-12 * np.maximum(had, 1e-300)):
-            raise IdenticallyZero("resultant vanishes at every node")
+            return UniPoly([0.0])
         coeffs = np.fft.fft(dets) / kk
         if rho != 1.0:
             coeffs = coeffs / rho ** np.arange(kk)

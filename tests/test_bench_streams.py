@@ -11,6 +11,9 @@ streams run; ``tests/output_digest.py`` runs the benchmark's CLI commands.
 
 import pytest
 
+import amoebas.contour
+import amoebas.fiber
+from amoebas import parse_poly
 from output_digest import load_bench
 
 
@@ -30,3 +33,20 @@ def test_query_stream_matches_the_reference(bench, workload, seed):
     assert r.tally.attempted == len(r.queries) > 0
     assert r.tally.failed == 0, r.tally.notes
     assert r.tally.conflicts == 0
+
+
+def test_a_traced_run_yields_its_layer_metrics(bench):
+    # bench/spans.py wraps the public functions and reads .degree off every
+    # sylvester_resultant result, a zero resultant's included
+    run, _ = bench
+    curves = [parse_poly(text, 2) for text in ("z1^3 - z1^2 - 2.75*z1 + 1.5",
+                                               "z1^2*z2 + z1*z2^2 - 4*z1*z2 + 1",
+                                               "z1^3 + z2^3 + z1*z2 + 1")]
+    with run.spans.Tracer() as tracer:
+        # looked up while traced, so the queries are spans too
+        amoebas.fiber.classify(curves[0], (0.0, 0.0))  # a zero resultant
+        amoebas.fiber.classify(curves[1], (0.0, 0.0))
+        amoebas.contour.contour_slice(curves[2], 0.3)
+    metrics = run.spans.layer_metrics(tracer.spans)
+    assert metrics["numeric.sylvester_resultant.calls"] > 0
+    assert metrics["fiber.classify.calls"] == 2 and metrics["contour.contour_slice.calls"] == 1

@@ -91,6 +91,10 @@ def test_order_inside_the_amoeba_is_exit_4(capsys):
     code, _, err = run(capsys, "order", "--poly", CUBIC, "--point", "0.2,0.2")
     assert code == 4
     assert "error:" in err
+    # a winding slice with a root on |u| = 1 to rounding
+    code, out, err = run(capsys, "order", "--poly", "1 + z1 + z2", "--point", "0,-50")
+    assert (code, out) == (4, "")
+    assert "w lies on the amoeba" in err
 
 
 def test_lopsided_subcommand(capsys):
@@ -232,6 +236,10 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "--res: resolution must have at most 1000000 cells, got 30000,30000"),
         (("betti", "--poly", "z1+z2+1", "--window", "1,1,0,0", "--output", "OUT.ppm"), 2,
          "--window: window must be min1,min2,max1,max2 with max > min, got 1,1,0,0"),
+        (("betti", "--poly", "z1+z2+1", "--window", "-1e308,-1,1e308,1", "--res", "3,3",
+          "--output", "OUT.ppm"), 2,
+         "--window: window must be min1,min2,max1,max2 with a finite float max - min, "
+         "got -1e308,-1,1e308,1"),
         (("betti", "--poly", "z1+z2+1", "--res", "abc", "--output", "OUT.ppm"), 2,
          "--res: expected two integers nx,ny, got abc"),
         (("betti", "--poly", "z1+z2+1", "--res", "5", "--output", "OUT.ppm"), 2,
@@ -273,8 +281,9 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "classify-overflow", "contour-monomial", "contour-zero-poly",
          "boundary-monomial", "boundary-zero-poly", "betti-monomial", "betti-zero-poly",
          "raster-monomial", "raster-zero-poly", "order-zero-poly", "samples-above-cap",
-         "res-above-cap", "empty-window", "malformed-res", "one-number-res", "res-below-two",
-         "short-window", "malformed-slices", "malformed-samples", "malformed-box",
+         "res-above-cap", "empty-window", "overflowing-window", "malformed-res",
+         "one-number-res", "res-below-two", "short-window", "malformed-slices",
+         "malformed-samples", "malformed-box",
          "exponent-ceiling", "infinite-literal", "overflowing-sum", "abs-zero",
          "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix",
          "non-decimal-digit", "unit-root-factor", "slices-above-cap", "degree-ceiling"],
@@ -325,7 +334,7 @@ def test_order_beyond_the_exponential_range(capsys):
 FAMILY_EXIT = {
     "AmoebaError": 1, "AxiomFailure": 1,
     "ParseError": 2, "PolySyntaxError": 2, "UnknownVariable": 2, "EmptyInput": 2,
-    "ZeroCoordinate": 3, "Overflow": 3, "SingularMatrix": 3, "IdenticallyZero": 3,
+    "ZeroCoordinate": 3, "Overflow": 3, "SingularMatrix": 3,
     "DegenerateFiber": 3, "DegenerateSlice": 3, "NotLinear": 3,
     "NoConvergence": 4, "InconsistentOrder": 4,
 }

@@ -14,7 +14,6 @@ import amoebas.fiber
 import amoebas.numeric
 from amoebas import (
     DegenerateFiber,
-    IdenticallyZero,
     InconsistentOrder,
     LaurentPoly,
     NoConvergence,
@@ -380,8 +379,8 @@ def test_a_root_pair_off_the_circle_is_no_full_circle():
     # on |t| = 1 and the term sum is not lopsided (2 x 2.75 < 6.25)
     f = parse_poly("z1^3 - z1^2 - 2.75*z1 + 1.5", 2)
     gb = fiber_restrict(f, (0.0, 0.0))[0].T
-    with pytest.raises(IdenticallyZero):
-        sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
+    res = sylvester_resultant(gb, np.conj(gb)[::-1, ::-1])
+    assert res.degree == 0 and not res.coeffs.any()
     assert lopsided(f, (0.0, 0.0)) is None
     assert classify(f, (0.0, 0.0)).tag == "Complement"
     assert classify(f, (math.log(2.0), 0.0)).tag == "Degenerate"
@@ -633,14 +632,11 @@ def test_a_quotient_without_t2_is_solved_transposed(text):
     assert classify(parse_poly(text, 2), (0.0, 0.0)).tag == "Complement"
 
 
-@pytest.mark.parametrize("row0_shares", [False, True], ids=["generic", "row0-shares-a-root"])
-def test_root_pairs_in_t2_alone_leave_the_cofactor_fiber(row0_shares):
-    # g = P(z2) h, where P holds a root pair r, 1/conj(r), each of
-    # multiplicity 1-3, so that over w2 = 0 g is a multiple of its own
-    # mirror; the fiber of g is the fiber of h.  With row0_shares, h's
-    # coefficient of z1^0 holds one root of the pair once more than g does.
+def root_pair_cases(row0_shares):
+    """150 seeded (h, pair, w): a cofactor h, a root pair r, 1/conj(r) of P, each root of
+    multiplicity 1-3, and one coordinate of w.  With row0_shares, h's coefficient of z1^0
+    holds one root of the pair once more."""
     rng = random.Random(20261021)
-    tags = collections.Counter()
     for k in range(150):
         d1, d2 = rng.randint(1, 2), rng.randint(1, 2)
         h = np.array([[complex(round(rng.uniform(-2, 2), 2), round(rng.uniform(-2, 2), 2) * (k % 2))
@@ -653,13 +649,34 @@ def test_root_pairs_in_t2_alone_leave_the_cofactor_fiber(row0_shares):
         pair = [r] * rng.randint(1, 3) + [1 / np.conj(r)] * rng.randint(1, 3)
         if row0_shares:
             h[0] = np.convolve(h[0][:-1], [-pair[0] if k % 2 else -pair[-1], 1])
-        g = np.array([np.convolve(row, np.poly(pair)[::-1]) for row in h])
-        w = (round(rng.uniform(-0.6, 0.6), 3), 0.0)
+        yield h, np.poly(pair)[::-1], round(rng.uniform(-0.6, 0.6), 3)
+
+
+def assert_cofactor_fibers(cases):
+    """Over each w, g = P h has the fiber of its cofactor h; both tags come up."""
+    tags = collections.Counter()
+    for g, h, w in cases:
         got, want = (classify(LaurentPoly(2, {(i, j): complex(c) for (i, j), c in np.ndenumerate(b)
                                               if c != 0}), w) for b in (g, h))
         assert_same_fiber(got, want, tol=1e-6)
         tags[got.tag] += 1
     assert set(tags) == {"Complement", "Interior"}
+
+
+@pytest.mark.parametrize("row0_shares", [False, True], ids=["generic", "row0-shares-a-root"])
+def test_root_pairs_in_t2_alone_leave_the_cofactor_fiber(row0_shares):
+    # P = P(z2) multiplies every row of h, so that over w2 = 0 g is a
+    # multiple of its own mirror
+    assert_cofactor_fibers((np.array([np.convolve(row, p) for row in h]), h, (w1, 0.0))
+                           for h, p, w1 in root_pair_cases(row0_shares))
+
+
+@pytest.mark.parametrize("row0_shares", [False, True], ids=["generic", "row0-shares-a-root"])
+def test_root_pairs_in_t1_alone_leave_the_cofactor_fiber(row0_shares):
+    # the z1-z2 swap of the test above: P = P(z1) multiplies every column of
+    # h.T, and the pair is found by the factor step in t1
+    assert_cofactor_fibers((np.array([np.convolve(col, p) for col in h]).T, h.T, (0.0, w2))
+                           for h, p, w2 in root_pair_cases(row0_shares))
 
 
 @pytest.mark.parametrize("text, checked", [
@@ -849,6 +866,8 @@ def test_order_picks_dominant_vertex():
     assert order(f, (10.0, 0.0)) == (1, 0)
     assert order(f, (0.0, 10.0)) == (0, 1)
     assert order(f, (-10.0, -10.0)) == (0, 0)
+    # the z1 slice has its root 1e-3 inside |u| = 1, far beyond UNIT_ROOT_TOL: counted
+    assert order(f, (1e-3, -50.0)) == (1, 0)
 
 
 def test_order_of_bounded_component():
@@ -872,6 +891,21 @@ def test_order_unstable_near_amoeba():
     except InconsistentOrder:
         return
     assert val in ((0, 0), (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("text, n, w", [
+    ("z1 - 2", 1, (math.log(2.0),)),
+    ("1 + z1 + z2", 2, (0.0, -50.0)),
+    ("1 + z1 + z2", 2, (40.0, 40.0)),
+])
+def test_order_on_the_amoeba_is_inconsistent(text, n, w):
+    # a winding slice has a root on |u| = 1 to rounding, which its rounding
+    # error would count inside or outside
+    f = parse_poly(text, n)
+    with pytest.raises(InconsistentOrder, match="w lies on the amoeba"):
+        order(f, w)
+    if n == 2:
+        assert classify(f, w).tag == "Degenerate"
 
 
 def test_lopsided_certificate_and_silence():
