@@ -31,13 +31,10 @@ import re
 import sys
 import warnings
 
+# each handler imports the layers it runs, so --help, --version and argument
+# errors load neither numpy nor any solver module
 from . import __version__
-from .contour import classify_contour, trace_contour
 from .errors import AmoebaError, AxiomFailure, InconsistentOrder, ParseError
-from .fiber import classify, fiber_solutions, lopsided, order
-from .linear import amoeba_basis, verify_basis
-from .parsing import format_poly, parse_poly
-from .raster import amoeba_grids
 
 _PALETTE = (
     (27, 158, 119),
@@ -114,8 +111,11 @@ def _solution_obj(s):
 # --------------------------------------------------------------------------
 
 def _floats(text, count=None):
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    vals = [float(p) for p in parts]
+    """The comma-separated numbers of text; a text of commas and blanks alone holds none."""
+    fields = [p.strip() for p in text.split(",")]
+    if any(fields) and not all(fields):
+        raise ValueError(f"expected comma-separated numbers, got {text}")
+    vals = [float(p) for p in fields if p]
     if count is not None and len(vals) != count:
         raise ValueError(f"expected {count} comma-separated numbers")
     return vals
@@ -196,6 +196,8 @@ def _resolve_point(args):
 
 def _fiber_query(args):
     """Point and polynomial of a query that solves on the fiber torus."""
+    from .parsing import parse_poly
+
     w = _resolve_point(args)
     if len(w) != 2:
         raise ParseError(f"{args.cmd} needs a point with two coordinates")
@@ -294,6 +296,8 @@ def _export_raster(raster, outputs, rgb_of):
 
 def _cmd_fiber(args):
     """member and fiber: the fiber solutions, headed by a tag or a count."""
+    from .fiber import fiber_solutions
+
     w, f = _fiber_query(args)
     sols = fiber_solutions(f, w)
     if args.cmd == "member":
@@ -305,6 +309,8 @@ def _cmd_fiber(args):
 
 
 def _cmd_classify(args):
+    from .fiber import classify, order
+
     w, f = _fiber_query(args)
     pc = classify(f, w)
     obj = {
@@ -324,6 +330,9 @@ def _cmd_classify(args):
 
 
 def _cmd_order(args):
+    from .fiber import order
+    from .parsing import parse_poly
+
     w = _resolve_point(args)
     f = parse_poly(args.poly, len(w))
     _emit({"point": list(w), "order": list(order(f, w))})
@@ -331,6 +340,9 @@ def _cmd_order(args):
 
 
 def _cmd_lopsided(args):
+    from .fiber import lopsided
+    from .parsing import parse_poly
+
     w = _resolve_point(args)
     f = parse_poly(args.poly, len(w))
     alpha = lopsided(f, w)
@@ -344,6 +356,9 @@ def _cmd_lopsided(args):
 
 def _cmd_contour(args):
     """contour and boundary: sorted CSV rows of the traced points, all or the boundary ones."""
+    from .contour import classify_contour, trace_contour
+    from .parsing import parse_poly
+
     f = parse_poly(args.poly, 2)
     _check_outputs(args.output)
     with warnings.catch_warnings(record=True) as caught:
@@ -372,6 +387,9 @@ def _write_csv(rows, outputs):
 
 def _cmd_raster(args):
     """betti and raster: one classification pass, exported as counts or tags."""
+    from .parsing import parse_poly
+    from .raster import amoeba_grids
+
     f = parse_poly(args.poly, 2)
     if not args.output:
         raise ParseError("an --output path ending in .ppm or .svg is required")
@@ -385,6 +403,9 @@ def _cmd_raster(args):
 
 
 def _cmd_basis(args):
+    from .linear import amoeba_basis, verify_basis
+    from .parsing import format_poly
+
     basis = amoeba_basis(_parse_matrix(args.linear))
     for j, g in enumerate(basis.polys):
         print(f"g{j} = {format_poly(g)}")

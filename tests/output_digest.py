@@ -5,13 +5,17 @@
 For both workloads of ``bench/run.py`` and seeds 0-7 it hashes each
 benchmark command's exit code, stdout and output files, run in process
 through ``amoebas.cli.main``, and each answer of the warm query stream,
-with every phase and score written by ``float.hex``.  A change meant to
-keep every bit prints the same 16 lines as its parent.  With
+with every phase and score written by ``float.hex``.  One more line
+hashes the exit code, stdout and stderr of ``python -m amoebas.cli`` for
+``--help``, ``--version`` and each subcommand's ``--help``, each a fresh
+process with ``COLUMNS=80``.  A change meant to keep every bit prints
+the same 17 lines as its parent.  With
 ``--against REV`` the script also unpacks ``git archive REV`` into a
 temporary folder, runs itself there, prints every line of REV's output
 that differs from this checkout's, and exits 1 on any mismatch.  The
 digests cover the program in the checkout that holds this file (its
-``bench/run.py`` puts that checkout's ``src`` first on the path).
+``bench/run.py`` puts that checkout's ``src`` first on the path, and the
+help texts come from that ``src``).
 """
 
 import argparse
@@ -19,6 +23,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -26,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SUBCOMMANDS = ("member", "classify", "order", "lopsided", "fiber", "contour", "boundary",
+               "betti", "raster", "basis")
 
 
 def load_bench():
@@ -71,6 +78,17 @@ def digest(run, ref, workload, seed):
     return h.hexdigest()
 
 
+def help_digest():
+    """Digest of the CLI's help and version texts, each from a fresh process."""
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(BENCH.parent / "src")}
+    h = hashlib.sha256()
+    for argv in [["--help"], ["--version"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS]:
+        proc = subprocess.run([sys.executable, "-m", "amoebas.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        h.update(json.dumps([argv, proc.returncode, proc.stdout, proc.stderr]).encode())
+    return h.hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description="Digest every output byte of the benchmark.")
     parser.add_argument("--against", metavar="REV",
@@ -94,6 +112,8 @@ def main():
             for seed in range(8):
                 mine.append(f"{workload} {seed} {digest(run, ref, workload, seed)}")
                 print(mine[-1], flush=True)
+        mine.append(f"cli-help {help_digest()}")
+        print(mine[-1], flush=True)
         if theirs is None:
             return 0
         other = theirs.communicate()[0].splitlines()

@@ -11,6 +11,7 @@ streams run; ``tests/output_digest.py`` runs the benchmark's CLI commands.
 
 import pytest
 
+import amoebas.cli
 import amoebas.contour
 import amoebas.fiber
 from amoebas import parse_poly
@@ -35,7 +36,7 @@ def test_query_stream_matches_the_reference(bench, workload, seed):
     assert r.tally.conflicts == 0
 
 
-def test_a_traced_run_yields_its_layer_metrics(bench):
+def test_a_traced_run_yields_its_layer_metrics(bench, capsys):
     # bench/spans.py wraps the public functions and reads .degree off every
     # sylvester_resultant result, a zero resultant's included
     run, _ = bench
@@ -50,3 +51,19 @@ def test_a_traced_run_yields_its_layer_metrics(bench):
     metrics = run.spans.layer_metrics(tracer.spans)
     assert metrics["numeric.sylvester_resultant.calls"] > 0
     assert metrics["fiber.classify.calls"] == 2 and metrics["contour.contour_slice.calls"] == 1
+
+    # the CLI imports each layer in the handler that runs it; the tracer
+    # still sees those calls, under the cli.main span
+    with run.spans.Tracer() as tracer:
+        amoebas.cli.main(["classify", "--poly", "z1^3 + z2^3 + z1*z2 + 1", "--point", "0,0"])
+        amoebas.cli.main(["basis", "--linear", "0.5,0.5;2,-1", "--samples", "50"])
+    capsys.readouterr()
+    spans = tracer.spans
+
+    def under_main(i):
+        while i >= 0 and spans[i][run.spans.NAME] != "cli.main":
+            i = spans[i][run.spans.PARENT]
+        return i >= 0
+
+    for name in ("fiber.classify", "linear.amoeba_basis"):
+        assert [under_main(i) for i, s in enumerate(spans) if s[run.spans.NAME] == name] == [True]

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-import amoebas.cli as cli
 import amoebas.errors as errors
+import amoebas.fiber as fiber
 import amoebas.numeric as numeric
+import amoebas.raster as raster
 from amoebas.cli import main
 
 CUBIC = "z1^3 + z2^3 + z1*z2 + 1"
@@ -135,7 +136,7 @@ def test_classify_complement_without_a_stable_order_prints_null(capsys, monkeypa
     def order(f, w):
         raise errors.InconsistentOrder("winding counts disagree")
 
-    monkeypatch.setattr(cli, "order", order)
+    monkeypatch.setattr(fiber, "order", order)
     code, out, _ = run(capsys, "classify", "--poly", CUBIC13, "--point", "0,0")
     assert code == 0
     obj = json.loads(out)
@@ -264,6 +265,12 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
         (("classify", "--poly", CUBIC, "--point", "-1,1", "--abs"), 2,
          "--abs coordinates must be positive moduli"),
         (("member", "--poly", CUBIC, "--point", ","), 2, "empty point"),
+        (("classify", "--poly", "1 + z1 + z2", "--point", "0,,0"), 2,
+         "bad point: expected comma-separated numbers, got 0,,0"),
+        (("classify", "--poly", "1 + z1 + z2", "--point", "0,0,"), 2,
+         "bad point: expected comma-separated numbers, got 0,0,"),
+        (("betti", "--poly", "z1+z2+1", "--window", "-2,-2,,2,2", "--output", "OUT.ppm"), 2,
+         "--window: expected four numbers min1,min2,max1,max2, got -2,-2,,2,2"),
         (("basis", "--linear", "1,2;3"), 2, "coefficient matrix must be square"),
         (("basis", "--linear", "1,x;3,4"), 2, "bad matrix entry"),
         (("classify", "--poly", "z²+1", "--point", "0,0"), 2, "expected digit after 'z'"),
@@ -285,21 +292,22 @@ BOX = "must be positive and at most 8.988465674311579e+307, got "
          "one-number-res", "res-below-two", "short-window", "malformed-slices",
          "malformed-samples", "malformed-box",
          "exponent-ceiling", "infinite-literal", "overflowing-sum", "abs-zero",
-         "abs-negative", "empty-point", "ragged-matrix", "non-numeric-matrix",
+         "abs-negative", "empty-point", "inner-empty-field", "trailing-empty-field",
+         "empty-window-field", "ragged-matrix", "non-numeric-matrix",
          "non-decimal-digit", "unit-root-factor", "slices-above-cap", "degree-ceiling"],
 )
 def test_parsed_but_invalid_query_is_an_exit_code(capsys, monkeypatch, tmp_path, argv,
                                                   expected, says):
     # an OUT.* argument is an --output file in tmp_path, which must stay empty
     argv = [str(tmp_path / a) if a.startswith("OUT.") else a for a in argv]
-    real_grids = cli.amoeba_grids
+    real_grids = raster.amoeba_grids
 
     def grids(f, window, res):
         # a grid above the cell ceiling must be refused, never allocated
         assert res[0] * res[1] <= 10**6
         return real_grids(f, window, res)
 
-    monkeypatch.setattr(cli, "amoeba_grids", grids)
+    monkeypatch.setattr(raster, "amoeba_grids", grids)
     try:
         code, out, err = run(capsys, *argv)
     except SystemExit as exc:
@@ -360,7 +368,7 @@ def test_an_error_subclass_exits_with_its_family_code(capsys, monkeypatch, paren
     def order(f, w):
         raise Raised("raised")
 
-    monkeypatch.setattr(cli, "order", order)
+    monkeypatch.setattr(fiber, "order", order)
     assert run(capsys, "order", "--poly", CUBIC13, "--point", "0,0") == (code, "", says + "\n")
 
 
@@ -425,6 +433,48 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SOLVER_LAYERS = {f"amoebas.{m}" for m in
+                 ("laurent", "parsing", "numeric", "fiber", "contour", "raster", "linear")}
+
+
+@pytest.mark.parametrize("argv, home, absent", [
+    (None, "amoebas.cli", SOLVER_LAYERS | {"numpy"}),
+    (["--version"], "amoebas.cli", SOLVER_LAYERS | {"numpy"}),
+    (["--help"], "amoebas.cli", SOLVER_LAYERS | {"numpy"}),
+    (["betti", "--poly", CUBIC, "--res", "x"], "amoebas.cli", SOLVER_LAYERS | {"numpy"}),
+    (["classify", "--poly", CUBIC, "--point", "0,0"], "amoebas.fiber",
+     {"amoebas.contour", "amoebas.raster", "amoebas.linear"}),
+    (["basis", "--linear", "0.5,0.5;2,-1", "--samples", "50"], "amoebas.linear",
+     {"amoebas.fiber", "amoebas.contour", "amoebas.raster"}),
+    (["betti", "--poly", CUBIC, "--res", "3,3", "--output", "OUT.ppm"], "amoebas.raster",
+     {"amoebas.contour", "amoebas.linear"}),
+    (["contour", "--poly", CUBIC, "--slices", "4"], "amoebas.contour",
+     {"amoebas.raster", "amoebas.linear"}),
+], ids=["import", "version", "help", "argument-error", "classify", "basis", "betti",
+        "contour"])
+def test_a_command_loads_only_its_layers(tmp_path, argv, home, absent):
+    # a fresh interpreter runs the command (or only imports the CLI) and
+    # prints the modules it loaded on its last stdout line
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [str(tmp_path / a) if a.startswith("OUT.") else a for a in argv or []]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, amoebas.cli\n"
+         "if sys.argv[1:]:\n"
+         "    try:\n"
+         "        amoebas.cli.main(sys.argv[1:])\n"
+         "    except SystemExit:\n"
+         "        pass\n"
+         "print(json.dumps(sorted(sys.modules)))\n", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert home in loaded
+    assert sorted(loaded & absent) == []
 
 
 def test_contour_and_boundary_csv(capsys):
@@ -524,8 +574,8 @@ def test_unwritable_output_fails_before_computing(capsys, monkeypatch, tmp_path,
     def fail(*args, **kwargs):
         raise AssertionError("computed before checking --output")
 
-    monkeypatch.setattr("amoebas.cli.amoeba_grids", fail)
-    monkeypatch.setattr("amoebas.cli.trace_contour", fail)
+    monkeypatch.setattr("amoebas.raster.amoeba_grids", fail)
+    monkeypatch.setattr("amoebas.contour.trace_contour", fail)
     path = str(tmp_path / "missing" / name) if where == "missing-folder" else str(tmp_path)
     code, out, err = run(capsys, cmd, "--poly", CUBIC13, "--output", path)
     assert code == 2

@@ -176,6 +176,36 @@ def test_the_deltoid_cusp_near_the_origin_is_not_complement(w):
     assert classify(parse_poly("z1^3 + z2^3 - 3*z1*z2 + 1", 2), w).tag != "Complement"
 
 
+# the line 1 + z1 + z2 meets the fiber over (0, -k) at t1 = e^{+-i(pi - d)},
+# d ~ e^-k: two t1 roots 2e^-k apart, which from k = 6.5 on lie within
+# MERGE_RADIUS and fuse at t1 = -1, where the slice's only root is t2 = 0;
+# see the FOUND line on this witness in CHANGES.md and ROADMAP item 3
+LINE = "1 + z1 + z2"
+
+
+@pytest.mark.xfail(strict=True, reason="the merge fuses two t1 roots 2e^-k apart")
+@pytest.mark.parametrize("k", [7, 8, 10])
+def test_the_line_keeps_both_fiber_points_deep_in_its_tentacle(k):
+    pc = classify(parse_poly(LINE, 2), (0.0, -float(k)))
+    assert (pc.tag, len(pc.solutions)) == ("Interior", 2)
+
+
+@pytest.mark.parametrize("k", [7, 8, 10, 25])
+def test_the_swapped_tentacle_point_keeps_both_fiber_points(k):
+    # (-k, 0) is the same point with z1 and z2 swapped; its t1 roots stay apart
+    pc = classify(parse_poly(LINE, 2), (-float(k), 0.0))
+    assert (pc.tag, len(pc.solutions)) == ("Interior", 2)
+
+
+@pytest.mark.parametrize("k", [7, 8, 10])
+def test_the_tentacle_point_is_lost_only_to_the_merge(monkeypatch, k):
+    f = parse_poly(LINE, 2)
+    assert torus_min_modulus(list(f.terms.items()), (0.0, -float(k))) < 1e-13
+    monkeypatch.setattr(amoebas.fiber, "MERGE_RADIUS", 1e-9)
+    pc = classify(f, (0.0, -float(k)))
+    assert (pc.tag, len(pc.solutions)) == ("Interior", 2)
+
+
 def seeded_deltoid_parameters():
     rng = random.Random(20261021)
     return [rng.uniform(0.0, TAU) for _ in range(60)]

@@ -14,7 +14,10 @@ that module, or of some module when it is undotted.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -42,7 +45,8 @@ def unused_imports(path):
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+            # the names __all__ spells out; a computed part reads names, counted above
+            used |= {n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -228,3 +232,33 @@ def test_a_missing_readme_name_is_reported(tmp_path):
     assert names == ["__all__", "_gone", "_kept", "math.fsum", "mod._LIMIT", "mod._m",
                      "mod._method", "other._x", "plain"]
     assert missing_names(names, [mod]) == ["_gone", "mod._method"]
+
+
+def test_the_package_exports_resolve_on_first_use():
+    # a fresh interpreter: `import amoebas` loads no module that an exported name lives in
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, amoebas; print(sorted(m for m in sys.modules if m.startswith('amoebas.')"
+         " or m == 'numpy'))"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+    import amoebas
+    import amoebas.fiber
+
+    names = {}
+    exec("from amoebas import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(amoebas.__all__) and len(amoebas.__all__) == 40
+    for name, obj in names.items():
+        if name != "__version__":
+            home = obj.__module__
+            assert home.startswith("amoebas.") and getattr(sys.modules[home], name) is obj
+            assert vars(amoebas)[name] is obj  # bound once, as an eager import binds it
+    assert amoebas.classify is amoebas.fiber.classify
+    assert dir(amoebas) == sorted(amoebas.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        amoebas.no_such_name  # noqa: B018
